@@ -23,17 +23,12 @@ the *observability overhead gate* (detector timed with metrics disabled
 vs. the sampled registry enabled) and the *supervisor overhead gate*
 (the sharded pool timed with shard supervision on vs. the bare
 ``pool.map`` baseline, on the fault-free path) — plus the *hot-path
-gate*: the compiled detector path (check plans + interned points + CoW
-stamping) must be >=1.3x the seed path end-to-end, and copy-on-write
-stamping >=1.5x the copying freeze on the Phase-A microbench.
+gate*: copy-on-write stamping must be >=1.5x the copying freeze on the
+Phase-A microbench.  End-to-end detector speed is measured by the
+layered benchmark (``perfbench/``, declared in ``BENCHMARK.json``).
 
-``--hotpath`` runs the hot-path microbench suite on its own (stamping,
-end-to-end detector, golden-trace corpus replay, and the PR 7
-epoch-adaptive + columnar-batch leg) and writes the machine-readable
-results to ``BENCH_PR4.json`` / ``BENCH_PR7.json`` (see
-``--hotpath-json`` / ``--epoch-json``).  The epoch leg compares the
-compiled full-vector-clock detector against epochs + batched checking on
-a wide-clock, mostly-thread-local workload and is gated at >=3.0x.
+``--hotpath`` runs the stamping leg on its own and writes the
+machine-readable results to ``BENCH_PR4.json`` (see ``--hotpath-json``).
 It then runs the PR 9 *backend fan-out leg*: the shm execution backend
 vs. the pickle pool, end to end at 8 workers on a wide-clock butterfly
 workload, gated at >=2.0x and recorded in ``BENCH_PR9.json`` (see
@@ -379,337 +374,47 @@ def stamping_bench(events: int, threads: int, seed: int = 0,
     }
 
 
-def detector_bench(trace, objects: int, repeats: int = 5) -> dict:
-    """End-to-end detector throughput, compiled path vs. seed path.
+def hotpath_gate(events: int, threads: int, seed: int = 0,
+                 repeats: int = 5, json_path: str | None = None,
+                 stamping_min: float = 1.5) -> bool:
+    """Run the stamping leg, print it, gate on its floor, write the JSON.
 
-    Compiled = check plans + interned access points + CoW stamping (the
-    default).  Seed = ``compiled=False`` (representation dispatch per
-    action) under the seed's copying stamp.  Verdicts are asserted equal
-    before any timing counts.
+    Copy-on-write stamping must be >=1.5x the seed's always-copy stamp on
+    the Phase-A microbench (100k events at least, so startup noise cannot
+    decide it).  As with the overhead gates, a first-attempt breach
+    triggers one longer re-measurement before the verdict sticks.
     """
-    def run_once(compiled):
-        # adaptive is pinned off so this leg keeps measuring exactly the
-        # PR 4 delta (plan compilation + interning + CoW stamping) now
-        # that epoch-adaptive clocks are the constructor default; the
-        # epoch win has its own leg and gate (epoch_batch_bench).
-        detector = register_all(
-            CommutativityRaceDetector(root=0, keep_reports=False,
-                                      compiled=compiled, adaptive=False),
-            objects)
-        return timed_run(detector, trace), detector
+    def suite(rounds):
+        return {
+            "benchmark": "hotpath",
+            "config": {"events": events, "threads": threads, "seed": seed,
+                       "repeats": rounds},
+            "stamping": stamping_bench(max(events, 100_000),
+                                       threads=max(threads, 16),
+                                       seed=seed, repeats=rounds),
+        }
 
-    _, fast = run_once(True)
-    with _seed_stamping():
-        _, slow = run_once(False)
-    got = (fast.stats.races, fast.stats.conflict_checks)
-    want = (slow.stats.races, slow.stats.conflict_checks)
-    assert got == want, f"verdict drift on compiled path: {got} != {want}"
-
-    def run_seed():
-        with _seed_stamping():
-            return run_once(False)[0]
-
-    best_fast, best_seed = _interleaved_best(
-        lambda: run_once(True)[0], run_seed, repeats)
-    return {
-        "events": len(trace),
-        "objects": objects,
-        "races": fast.stats.races,
-        "compiled_seconds": best_fast,
-        "seed_seconds": best_seed,
-        "compiled_events_per_s": len(trace) / best_fast,
-        "seed_events_per_s": len(trace) / best_seed,
-        "speedup": best_seed / best_fast,
-    }
-
-
-def golden_corpus_bench(repeats: int = 5, passes: int = 20) -> dict:
-    """Replay the frozen golden traces (``tests/data``) in both modes.
-
-    The traces are small, so each timed run replays the whole corpus
-    ``passes`` times.  Race and check counts are asserted identical
-    between the modes before timing (the byte-level report identity is
-    the test suite's job; the bench only needs to not time a lie).
-    """
-    registry = bundled_objects()
-    cases = []
-    for path in sorted(GOLDEN_DIR.glob("*.jsonl")):
-        expected_path = GOLDEN_DIR / "expected" / f"{path.stem}.json"
-        with open(expected_path, encoding="utf-8") as stream:
-            bindings = json.load(stream)["bindings"]
-        with open(path, encoding="utf-8") as stream:
-            trace = load_trace(stream)
-        cases.append((path.stem, trace, bindings))
-    if not cases:
-        raise SystemExit(f"no golden traces found under {GOLDEN_DIR}")
-    events_per_pass = sum(len(trace) for _, trace, _ in cases)
-
-    def replay_all(compiled):
-        # Time only detector.run: the corpus traces are tiny, so detector
-        # construction and plan compilation (both once-per-object setup,
-        # not per-event work) would otherwise swamp the hot path.
-        verdicts = []
-        total = 0.0
-        for _ in range(passes):
-            verdicts.clear()
-            for _, trace, bindings in cases:
-                # adaptive pinned off for the same reason as detector_bench:
-                # this leg times the PR 4 compiled-path delta in isolation.
-                detector = CommutativityRaceDetector(
-                    root=trace.root, keep_reports=False, compiled=compiled,
-                    adaptive=False)
-                for obj, kind in bindings.items():
-                    detector.register_object(
-                        obj, registry[kind].representation())
-                start = time.perf_counter()
-                detector.run(trace)
-                total += time.perf_counter() - start
-                verdicts.append((detector.stats.races,
-                                 detector.stats.conflict_checks))
-        return total, verdicts
-
-    _, fast_verdicts = replay_all(True)
-    with _seed_stamping():
-        _, seed_verdicts = replay_all(False)
-    assert fast_verdicts == seed_verdicts, (
-        "verdict drift on the golden corpus: "
-        f"{fast_verdicts} != {seed_verdicts}")
-
-    def run_seed():
-        with _seed_stamping():
-            return replay_all(False)[0]
-
-    best_fast, best_seed = _interleaved_best(
-        lambda: replay_all(True)[0], run_seed, repeats)
-    total = events_per_pass * passes
-    return {
-        "traces": [name for name, _, _ in cases],
-        "events_per_pass": events_per_pass,
-        "passes": passes,
-        "compiled_seconds": best_fast,
-        "seed_seconds": best_seed,
-        "compiled_events_per_s": total / best_fast,
-        "seed_events_per_s": total / best_seed,
-        "speedup": best_seed / best_fast,
-    }
-
-
-# -- epoch-adaptive + columnar batch leg (PR 7) ------------------------------
-
-
-def contended_trace(events: int, objects: int = 8, threads: int = 64,
-                    seed: int = 0, keys: int = 2, lock_rate: float = 0.05,
-                    shared_share: float = 0.02, put_share: float = 0.9):
-    """Thread-partitioned keys under a shared lock: the epoch sweet spot.
-
-    Every thread owns a private slice of each object's key space and only
-    ``shared_share`` of its operations stray into a common pool, so most
-    access points are only ever touched (or re-touched in order) by one
-    thread — exactly what an epoch certificate covers.  The shared lock,
-    taken on ``lock_rate`` of the operations, meanwhile mixes every
-    thread's component into every other thread's clock, so the
-    full-vector-clock mode pays O(threads) per phase-2 join and per
-    phase-1 candidate comparison where the epoch mode pays O(1).  This is
-    the realistic shape the paper's Section 6 workloads have: wide clocks,
-    mostly thread-local data, occasional genuine sharing (the unlocked
-    shared-pool touches keep real races — and promotions — in the trace).
-    ``put_share`` skews the mix toward writes, whose conflict degree is 2
-    (w conflicts with r and w), doubling the phase-1 comparisons the
-    full-VC mode pays per action.
-    """
-    rng = random.Random(seed)
-    builder = TraceBuilder(root=0)
-    worker_tids = list(range(1, threads + 1))
-    for tid in worker_tids:
-        builder.fork(0, tid)
-    shadow = [dict() for _ in range(objects)]
-    from repro.core.events import NIL
-    budget = events - threads  # forks already emitted
-    for _ in range(budget):
-        tid = rng.choice(worker_tids)
-        index = rng.randrange(objects)
-        obj = f"d{index}"
-        locked = rng.random() < lock_rate
-        if locked:
-            builder.acquire(tid, "L")
-        if rng.random() < shared_share:
-            key = f"s{rng.randrange(keys)}"
-        else:
-            key = f"t{tid}k{rng.randrange(keys)}"
-        if rng.random() < put_share:
-            value = rng.randrange(8)
-            prev = shadow[index].get(key, NIL)
-            shadow[index][key] = value
-            builder.invoke(tid, obj, "put", key, value, returns=prev)
-        else:
-            builder.invoke(tid, obj, "get", key,
-                           returns=shadow[index].get(key, NIL))
-        if locked:
-            builder.release(tid, "L")
-    return builder.build(stamp=False)
-
-
-def epoch_batch_bench(trace, objects: int, threads: int,
-                      batch_window: int = 256, repeats: int = 5) -> dict:
-    """Epoch-adaptive clocks + columnar batching vs. the PR 4 hot path.
-
-    Both sides run the compiled check-plan loop; the baseline pins
-    ``adaptive=False, batch_window=0`` (exactly the configuration the PR 4
-    gate froze) and the candidate runs epochs plus a columnar check
-    window.  Race and conflict-check counts are asserted identical before
-    any timing counts — the speedup cannot come from dropping work.
-    """
-    def run_once(adaptive, window):
-        detector = register_all(
-            CommutativityRaceDetector(root=0, keep_reports=False,
-                                      adaptive=adaptive,
-                                      batch_window=window),
-            objects)
-        return timed_run(detector, trace), detector
-
-    _, fast = run_once(True, batch_window)
-    _, slow = run_once(False, 0)
-    got = (fast.stats.races, fast.stats.conflict_checks)
-    want = (slow.stats.races, slow.stats.conflict_checks)
-    assert got == want, f"verdict drift on epoch+batch path: {got} != {want}"
-
-    best_fast, best_base = _interleaved_best(
-        lambda: run_once(True, batch_window)[0],
-        lambda: run_once(False, 0)[0], repeats)
-    return {
-        "events": len(trace),
-        "objects": objects,
-        "threads": threads,
-        "batch_window": batch_window,
-        "races": fast.stats.races,
-        "epoch_promotions": fast.stats.epoch_promotions,
-        "epoch_seconds": best_fast,
-        "fullvc_seconds": best_base,
-        "epoch_events_per_s": len(trace) / best_fast,
-        "fullvc_events_per_s": len(trace) / best_base,
-        "speedup": best_base / best_fast,
-    }
-
-
-def hotpath_suite(events: int, objects: int, threads: int, seed: int = 0,
-                  repeats: int = 5, corpus_passes: int = 20,
-                  batch_window: int = 256) -> dict:
-    """All four hot-path legs; returns the machine-readable result dict."""
-    trace = synthetic_trace(events, objects, threads, seed)
-    # The epoch leg pins its own workload shape (64 threads, thread-local
-    # keys, write-heavy) regardless of the sweep arguments: wide clocks
-    # are what make the O(threads)-vs-O(1) delta the story, and the run
-    # must be long enough that per-event costs, not one-off interning,
-    # decide the ratio — hence the 100k-event floor even in smoke mode
-    # (trace generation is a one-off outside the timers).
-    epoch_threads = 64
-    epoch_trace = contended_trace(max(events, 100_000), objects=8,
-                                  threads=epoch_threads, seed=seed)
-    return {
-        "benchmark": "hotpath",
-        "config": {"events": events, "objects": objects, "threads": threads,
-                   "seed": seed, "repeats": repeats,
-                   "corpus_passes": corpus_passes,
-                   "batch_window": batch_window},
-        # The stamping leg has the same floor rationale: 100k events so
-        # startup noise can't decide it.
-        "stamping": stamping_bench(max(events, 100_000),
-                                   threads=max(threads, 16),
-                                   seed=seed, repeats=repeats),
-        "detector": detector_bench(trace, objects, repeats=repeats),
-        "golden_corpus": golden_corpus_bench(repeats=repeats,
-                                             passes=corpus_passes),
-        "epoch_batch": epoch_batch_bench(epoch_trace, 8, epoch_threads,
-                                         batch_window=batch_window,
-                                         repeats=repeats),
-    }
-
-
-def hotpath_gate(events: int, objects: int, threads: int, seed: int = 0,
-                 repeats: int = 5, corpus_passes: int = 20,
-                 json_path: str | None = None,
-                 epoch_json_path: str | None = None,
-                 stamping_min: float = 1.5,
-                 detector_min: float = 1.3,
-                 epoch_min: float = 3.0) -> bool:
-    """Run the suite, print it, gate on the speedup floors, write the JSON.
-
-    Floors (from the PR acceptance criteria): CoW stamping must be
-    >=1.5x the seed stamp on the Phase-A microbench, the compiled
-    detector >=1.3x the seed path end-to-end (both PR 4), and the
-    epoch-adaptive + columnar-batch detector >=3.0x the compiled
-    full-vector-clock path on the contended workload (PR 7).  As with
-    the overhead gates, a first-attempt breach triggers one longer
-    re-measurement before the verdict sticks.
-    """
-    def passed(results):
-        return (results["stamping"]["speedup"] >= stamping_min
-                and results["detector"]["speedup"] >= detector_min
-                and results["epoch_batch"]["speedup"] >= epoch_min)
-
-    results = hotpath_suite(events, objects, threads, seed,
-                            repeats=repeats, corpus_passes=corpus_passes)
-    if not passed(results):
-        print(f"\nhot-path gate: stamping {results['stamping']['speedup']:.2f}x "
-              f"/ detector {results['detector']['speedup']:.2f}x "
-              f"/ epoch+batch {results['epoch_batch']['speedup']:.2f}x below "
-              f"the {stamping_min:.1f}x/{detector_min:.1f}x/{epoch_min:.1f}x "
-              f"floors on the first attempt; re-measuring")
-        results = hotpath_suite(events, objects, threads, seed,
-                                repeats=2 * repeats,
-                                corpus_passes=corpus_passes)
-    ok = passed(results)
-    results["gates"] = {
-        "stamping_min": stamping_min,
-        "detector_min": detector_min,
-        "epoch_min": epoch_min,
-        "pass": ok,
-    }
-
-    stamping, detector, corpus = (results["stamping"], results["detector"],
-                                  results["golden_corpus"])
-    epoch = results["epoch_batch"]
+    results = suite(repeats)
+    if results["stamping"]["speedup"] < stamping_min:
+        print(f"\nhot-path gate: stamping "
+              f"{results['stamping']['speedup']:.2f}x below the "
+              f"{stamping_min:.1f}x floor on the first attempt; re-measuring")
+        results = suite(2 * repeats)
+    stamping = results["stamping"]
+    ok = stamping["speedup"] >= stamping_min
+    results["gates"] = {"stamping_min": stamping_min, "pass": ok}
     print("\nhot-path microbench (interleaved, best of "
           f"{results['config']['repeats']})")
     print(f"  stamping   ({stamping['threads']} threads): "
           f"CoW {stamping['cow_events_per_s']:>9.0f} ev/s, "
           f"seed {stamping['seed_events_per_s']:>9.0f} ev/s -> "
           f"{stamping['speedup']:.2f}x (floor {stamping_min:.1f}x)")
-    print(f"  detector   ({detector['objects']} objects): "
-          f"compiled {detector['compiled_events_per_s']:>9.0f} ev/s, "
-          f"seed {detector['seed_events_per_s']:>9.0f} ev/s -> "
-          f"{detector['speedup']:.2f}x (floor {detector_min:.1f}x)")
-    print(f"  golden corpus ({len(corpus['traces'])} traces): "
-          f"compiled {corpus['compiled_events_per_s']:>9.0f} ev/s, "
-          f"seed {corpus['seed_events_per_s']:>9.0f} ev/s -> "
-          f"{corpus['speedup']:.2f}x")
-    print(f"  epoch+batch ({epoch['threads']} threads, window "
-          f"{epoch['batch_window']}): "
-          f"epochs {epoch['epoch_events_per_s']:>9.0f} ev/s, "
-          f"full VC {epoch['fullvc_events_per_s']:>9.0f} ev/s -> "
-          f"{epoch['speedup']:.2f}x (floor {epoch_min:.1f}x, "
-          f"{epoch['epoch_promotions']} promotions)")
     print(f"hot-path gate: [{'PASS' if ok else 'FAIL'}]")
-
     if json_path:
         with open(json_path, "w", encoding="utf-8") as out:
             json.dump(results, out, indent=2, sort_keys=True)
             out.write("\n")
         print(f"hot-path results written to {json_path}")
-    if epoch_json_path:
-        # The PR 7 record stands alone: the epoch+batch leg plus its gate,
-        # in the same machine-readable shape as the PR 4 file.
-        pr7 = {
-            "benchmark": "epoch_batch",
-            "config": results["config"],
-            "epoch_batch": epoch,
-            "gates": {"epoch_min": epoch_min,
-                      "pass": epoch["speedup"] >= epoch_min},
-        }
-        with open(epoch_json_path, "w", encoding="utf-8") as out:
-            json.dump(pr7, out, indent=2, sort_keys=True)
-            out.write("\n")
-        print(f"epoch+batch results written to {epoch_json_path}")
     return ok
 
 
@@ -1039,10 +744,10 @@ def main(argv=None) -> int:
                         help="CI mode: scaled-down sweep plus the overhead "
                              "and hot-path gates (exit 1 on any breach)")
     parser.add_argument("--hotpath", action="store_true",
-                        help="run only the hot-path microbench suite "
-                             "(stamping, end-to-end detector, golden "
-                             "corpus), write the results JSON, and gate "
-                             "on the speedup floors (exit 1 on a breach)")
+                        help="run only the hot-path microbenches (Phase-A "
+                             "stamping, then the backend fan-out leg), "
+                             "write the results JSON, and gate on the "
+                             "speedup floors (exit 1 on a breach)")
     parser.add_argument("--stream", action="store_true",
                         help="run only the streaming memory gate: peak "
                              "active+interned points of a pruning "
@@ -1067,11 +772,6 @@ def main(argv=None) -> int:
                         default="BENCH_PR4.json",
                         help="where --hotpath/--smoke write the hot-path "
                              "results (default: %(default)s)")
-    parser.add_argument("--epoch-json", metavar="PATH",
-                        default="BENCH_PR7.json",
-                        help="where --hotpath/--smoke write the "
-                             "epoch+batch leg's standalone record "
-                             "(default: %(default)s)")
     parser.add_argument("--backend-json", metavar="PATH",
                         default="BENCH_PR9.json",
                         help="where --hotpath/--smoke write the backend "
@@ -1108,12 +808,9 @@ def main(argv=None) -> int:
         return 0
 
     if args.hotpath:
-        ok = hotpath_gate(args.events, args.objects, args.threads,
-                          seed=args.seed,
+        ok = hotpath_gate(args.events, args.threads, seed=args.seed,
                           repeats=3 if args.smoke else 5,
-                          corpus_passes=10 if args.smoke else 25,
-                          json_path=args.hotpath_json,
-                          epoch_json_path=args.epoch_json)
+                          json_path=args.hotpath_json)
         ok = backend_gate(seed=args.seed,
                           repeats=1 if args.smoke else 2,
                           json_path=args.backend_json) and ok
@@ -1178,14 +875,12 @@ def main(argv=None) -> int:
         print(f"observability report written to {args.stats_json}")
 
     if args.smoke:
-        # The observability gate times the default (compiled) detector, so
-        # the compiled path is also held to the existing 5% obs budget.
+        # The observability gate times the default detector, so its
+        # ENUMERATE loop is held to the 5% obs budget.
         ok = overhead_gate(trace, args.objects)
         ok = supervisor_overhead_gate(trace, args.objects) and ok
-        ok = hotpath_gate(args.events, args.objects, args.threads,
-                          seed=args.seed, repeats=3, corpus_passes=10,
-                          json_path=args.hotpath_json,
-                          epoch_json_path=args.epoch_json) and ok
+        ok = hotpath_gate(args.events, args.threads, seed=args.seed,
+                          repeats=3, json_path=args.hotpath_json) and ok
         ok = backend_gate(seed=args.seed, repeats=1,
                           json_path=args.backend_json) and ok
         if not ok:

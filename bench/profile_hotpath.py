@@ -5,13 +5,10 @@ Replays one frozen trace from ``tests/data`` through the sequential
 detector many times under :mod:`cProfile` and prints the top functions by
 cumulative time — the view that surfaced the pre-PR-4 costs (per-event
 ``freeze()`` dict copies, ``points_of`` re-validation, candidate
-generators) and that should now show the compiled plan loop at the top.
+generators) and that should now show the ENUMERATE loop at the top.
 
 Run:  PYTHONPATH=src python bench/profile_hotpath.py
-          [--trace NAME] [--passes N] [--top N] [--seed-path]
-
-``--seed-path`` profiles the baseline instead (``compiled=False`` under
-the seed's copying clock stamp), for before/after comparisons.
+          [--trace NAME] [--passes N] [--top N]
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
-from parallel_scaling import GOLDEN_DIR, _seed_stamping  # noqa: E402
+from parallel_scaling import GOLDEN_DIR  # noqa: E402
 
 from repro.core.detector import CommutativityRaceDetector  # noqa: E402
 from repro.core.serialize import load_trace  # noqa: E402
@@ -45,11 +42,11 @@ def load_case(name: str):
     return trace, bindings
 
 
-def replay(trace, bindings, passes: int, compiled: bool) -> None:
+def replay(trace, bindings, passes: int) -> None:
     registry = bundled_objects()
     for _ in range(passes):
-        detector = CommutativityRaceDetector(
-            root=trace.root, keep_reports=False, compiled=compiled)
+        detector = CommutativityRaceDetector(root=trace.root,
+                                             keep_reports=False)
         for obj, kind in bindings.items():
             detector.register_object(obj, registry[kind].representation())
         detector.run(trace)
@@ -64,23 +61,14 @@ def main(argv=None) -> int:
                         help="replays per profile run (default: %(default)s)")
     parser.add_argument("--top", type=int, default=20,
                         help="rows of the cumulative-time table to print")
-    parser.add_argument("--seed-path", action="store_true",
-                        help="profile the seed path (compiled=False plus "
-                             "the copying clock stamp) instead of the "
-                             "compiled hot path")
     args = parser.parse_args(argv)
 
     trace, bindings = load_case(args.trace)
-    mode = "seed" if args.seed_path else "compiled"
-    print(f"profiling {mode} path: {args.passes} passes over "
+    print(f"profiling the detector: {args.passes} passes over "
           f"{args.trace!r} ({len(trace)} events)\n")
 
     profiler = cProfile.Profile()
-    if args.seed_path:
-        with _seed_stamping():
-            profiler.runcall(replay, trace, bindings, args.passes, False)
-    else:
-        profiler.runcall(replay, trace, bindings, args.passes, True)
+    profiler.runcall(replay, trace, bindings, args.passes)
 
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats("cumulative").print_stats(args.top)

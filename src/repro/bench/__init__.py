@@ -2,7 +2,7 @@
 Table 2, the Fig. 4 check-count comparison, the Section 5.4 complexity
 series, and design-choice ablations."""
 
-from .ablation import (AblationRow, adaptive_ablation, atomicity_ablation,
+from .ablation import (AblationRow, atomicity_ablation,
                        instrumentation_ablation, pruning_ablation,
                        render_ablations, run_ablations, strategy_ablation,
                        translation_ablation)
@@ -13,7 +13,7 @@ from .scaling import ScalingPoint, render_scaling, run_scaling, scaling_trace
 from .table2 import PAPER_TABLE2, Row, render, run_row, run_table2
 
 __all__ = [
-    "AblationRow", "adaptive_ablation", "atomicity_ablation",
+    "AblationRow", "atomicity_ablation",
     "instrumentation_ablation", "pruning_ablation", "render_ablations",
     "run_ablations", "strategy_ablation", "translation_ablation",
     "Fig4Point", "fig4_trace", "render_fig4", "run_fig4",

@@ -31,8 +31,8 @@ from .table2 import _circuit_workload
 
 __all__ = ["AblationRow", "run_ablations", "render_ablations",
            "translation_ablation", "strategy_ablation",
-           "instrumentation_ablation", "adaptive_ablation",
-           "pruning_ablation", "atomicity_ablation"]
+           "instrumentation_ablation", "pruning_ablation",
+           "atomicity_ablation"]
 
 
 @dataclass(frozen=True)
@@ -119,44 +119,6 @@ def instrumentation_ablation(scale: float = 0.5,
             AblationRow("instrumentation", variant, "races",
                         str(measurement.races_for())),
         ])
-    return rows
-
-
-def adaptive_ablation(actions: int = 3000) -> List[AblationRow]:
-    """Epoch-adaptive point clocks vs. plain vector clocks.
-
-    FastTrack's representation insight ported to access points: points
-    touched by a single thread keep an O(1) epoch.  Verdicts are identical
-    (property-tested); this quantifies the cost difference and how many
-    points ever needed promotion on a mostly-thread-local workload.
-    """
-    from ..specs.dictionary import dictionary_representation
-    trace = scaling_trace(actions, seed=5)
-    rows: List[AblationRow] = []
-    results = {}
-    for label, adaptive in (("vector-clocks", False), ("epochs", True)):
-        detector = CommutativityRaceDetector(
-            root=0, strategy=Strategy.ENUMERATE, keep_reports=False,
-            adaptive=adaptive)
-        detector.register_object("o", dictionary_representation())
-        started = time.perf_counter()
-        for event in trace:
-            detector.process(event)
-        elapsed = time.perf_counter() - started
-        results[label] = detector.stats.races
-        rows.append(AblationRow("adaptive-clocks", label, "seconds",
-                                f"{elapsed:.4f}"))
-        rows.append(AblationRow("adaptive-clocks", label, "races",
-                                str(detector.stats.races)))
-        if adaptive:
-            share = (detector.stats.epoch_promotions
-                     / max(1, detector.active_point_count()))
-            rows.append(AblationRow("adaptive-clocks", label,
-                                    "points promoted",
-                                    f"{detector.stats.epoch_promotions} "
-                                    f"({share:.0%} of active)"))
-    if results["epochs"] != results["vector-clocks"]:
-        raise AssertionError("adaptive clocks changed race verdicts")
     return rows
 
 
@@ -301,7 +263,6 @@ def run_ablations(scale: float = 0.5) -> List[AblationRow]:
     rows.extend(translation_ablation())
     rows.extend(strategy_ablation())
     rows.extend(instrumentation_ablation(scale=scale))
-    rows.extend(adaptive_ablation())
     rows.extend(pruning_ablation())
     rows.extend(atomicity_ablation())
     return rows

@@ -120,20 +120,6 @@ def _parse_prune_interval(args) -> int:
     return interval
 
 
-def _parse_batch_window(args) -> int:
-    """Validate ``--batch-window`` (0 = per-event checking, the default)."""
-    if args.batch_window is None:
-        return 0
-    try:
-        window = int(args.batch_window)
-    except ValueError:
-        _fail(f"--batch-window expects a positive integer, got "
-              f"{args.batch_window!r}", EXIT_USAGE)
-    if window < 1:
-        _fail(f"--batch-window must be >= 1, got {window}", EXIT_USAGE)
-    return window
-
-
 def _parse_predict(args) -> int:
     """Validate ``--predict[=WINDOW]`` (0 = prediction off, the default)."""
     if args.predict is None:
@@ -199,9 +185,7 @@ def _analyze_commutativity(trace, bindings, detector_kind: str,
                            workers: int = 1, obs=NULL_REGISTRY,
                            supervisor=None, checkpoint=None,
                            resume_from: Optional[str] = None,
-                           adaptive: bool = True,
                            prune_interval: int = 0,
-                           batch_window: int = 0,
                            backend: str = "pickle",
                            predict_window: int = 0,
                            ) -> Tuple[int, Optional[Dict[str, Any]],
@@ -215,9 +199,7 @@ def _analyze_commutativity(trace, bindings, detector_kind: str,
     if detector_kind == "rd2" and sharded:
         from .core.parallel import ShardedDetector
         detector = ShardedDetector(root=trace.root, workers=workers,
-                                   adaptive=adaptive,
                                    prune_interval=prune_interval,
-                                   batch_window=batch_window,
                                    obs=obs, supervisor=supervisor,
                                    checkpoint=checkpoint,
                                    resume_from=resume_from,
@@ -229,9 +211,7 @@ def _analyze_commutativity(trace, bindings, detector_kind: str,
     elif detector_kind == "rd2":
         from .core.detector import CommutativityRaceDetector
         detector = CommutativityRaceDetector(root=trace.root,
-                                             adaptive=adaptive,
                                              prune_interval=prune_interval,
-                                             batch_window=batch_window,
                                              obs=obs,
                                              predict_window=predict_window)
     else:
@@ -273,9 +253,8 @@ def _analyze_commutativity(trace, bindings, detector_kind: str,
 
 
 def _analyze_follow(path: str, bindings, obs=NULL_REGISTRY,
-                    adaptive: bool = True, prune_interval: int = 0,
-                    batch_window: int = 0,
-                    window: int = 1024, idle_timeout: float = 10.0,
+                    prune_interval: int = 0, window: int = 1024,
+                    idle_timeout: float = 10.0,
                     stats_json: Optional[str] = None,
                     meta_base: Optional[Dict[str, Any]] = None,
                     poll_interval: float = 0.05,
@@ -323,9 +302,8 @@ def _analyze_follow(path: str, bindings, obs=NULL_REGISTRY,
     def build(root) -> "StreamAnalyzer":
         analyzer = StreamAnalyzer(root=root, on_race=on_race,
                                   prune_interval=prune_interval,
-                                  window=window, adaptive=adaptive,
-                                  batch_window=batch_window,
-                                  obs=obs, on_window=snapshot,
+                                  window=window, obs=obs,
+                                  on_window=snapshot,
                                   predict_window=predict_window)
         for name, kind in bindings:
             analyzer.register_object(name, registry[kind].representation())
@@ -459,22 +437,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "written by a previous run on the same trace "
                              "(a rejected checkpoint degrades to a full "
                              "restamp)")
-    parser.add_argument("--adaptive", action="store_true",
-                        help="epoch-adaptive point clocks for rd2 (now the "
-                             "default; kept for compatibility): keep an "
-                             "O(1) epoch per access point until genuine "
-                             "cross-thread contention inflates it to a "
-                             "full vector clock (report-preserving)")
-    parser.add_argument("--no-epochs", action="store_true", dest="no_epochs",
-                        help="rd2 debug switch: disable epoch-adaptive "
-                             "point clocks and store a full vector clock "
-                             "per access point from the first touch")
-    parser.add_argument("--batch-window", default=None, metavar="N",
-                        dest="batch_window",
-                        help="rd2: buffer N stamped actions into columnar "
-                             "struct-of-arrays and run Algorithm 1 one "
-                             "window at a time instead of per event "
-                             "(report-preserving; default 0 = per-event)")
     parser.add_argument("--prune-interval", default=None, metavar="N",
                         dest="prune_interval",
                         help="rd2: every N actions, reclaim active points "
@@ -558,18 +520,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if rd2_only and (args.detector != "rd2" or args.atomicity):
         _fail("--workers, --shard-*, --checkpoint and --resume-from apply "
               "only to the rd2 detector", EXIT_USAGE)
-    if args.adaptive and (args.detector != "rd2" or args.atomicity):
-        _fail("--adaptive applies only to the rd2 detector", EXIT_USAGE)
-    if args.no_epochs and (args.detector != "rd2" or args.atomicity):
-        _fail("--no-epochs applies only to the rd2 detector", EXIT_USAGE)
-    if args.no_epochs and args.adaptive:
-        _fail("--no-epochs contradicts --adaptive", EXIT_USAGE)
-    # Epoch adaptivity is report-preserving and the default; --adaptive
-    # survives as an explicit opt-in no-op, --no-epochs is the debug out.
-    adaptive = not args.no_epochs
-    batch_window = _parse_batch_window(args)
-    if batch_window and (args.detector != "rd2" or args.atomicity):
-        _fail("--batch-window applies only to the rd2 detector", EXIT_USAGE)
     prune_interval = _parse_prune_interval(args)
     if prune_interval and (args.detector != "rd2" or args.atomicity):
         _fail("--prune-interval applies only to the rd2 detector", EXIT_USAGE)
@@ -625,8 +575,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         bindings = _parse_bindings(args.objects)
         if args.follow:
             code, events_total, predicted = _analyze_follow(
-                args.trace, bindings, obs=obs, adaptive=adaptive,
-                prune_interval=prune_interval, batch_window=batch_window,
+                args.trace, bindings, obs=obs,
+                prune_interval=prune_interval,
                 window=window if window is not None else 1024,
                 idle_timeout=(follow_timeout if follow_timeout is not None
                               else 10.0),
@@ -646,9 +596,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 code, faults, predicted = _analyze_commutativity(
                     trace, bindings, args.detector, workers=workers, obs=obs,
                     supervisor=supervisor, checkpoint=checkpoint,
-                    resume_from=args.resume_from, adaptive=adaptive,
-                    prune_interval=prune_interval,
-                    batch_window=batch_window, backend=args.backend,
+                    resume_from=args.resume_from,
+                    prune_interval=prune_interval, backend=args.backend,
                     predict_window=predict_window)
             else:
                 code, faults = _analyze_memory(trace, args.detector, obs=obs)

@@ -1,26 +1,5 @@
 """The commutativity race detector — Algorithm 1 of the paper.
 
-Adaptive point clocks (``adaptive=True``, the default)
-------------------------------------------------------
-
-FastTrack's insight — most variables are accessed by one thread at a time,
-so a scalar *epoch* ``c@t`` usually suffices in place of a vector clock —
-transfers to access points.  A point whose touches are totally ordered
-keeps an epoch: its latest toucher's ``(tid, stamp)`` plus the exact
-accumulated clock the pair certifies (see
-:class:`~repro.core.plan._PointEpoch`), so the phase-1 ordering test and
-the phase-2 join are one integer compare each.  Only a *concurrent*
-cross-thread touch — genuine contention, where no single-component
-certificate exists — inflates the point to a bare vector clock, and the
-next ordered touch (or a maintenance window, see
-:meth:`CommutativityRaceDetector.deflate_point_clocks`) deflates it
-back.  Unlike FastTrack's write-epoch (which forgets racy history and
-only guarantees the same *first* race per variable), this adaptation is
-exactly report-preserving — epochs carry the very clock the plain
-detector would store, so the equivalence suite checks byte-for-byte
-equality with the plain detector, reports included.
-
-
 The detector consumes a trace event-by-event.  Synchronization events update
 the happens-before state (Table 1, delegated to
 :class:`~repro.core.hb.HappensBeforeTracker`); each action event
@@ -35,18 +14,43 @@ Phase 2 (state update)
     for each ``pt ∈ ηo(...)``: ``pt.vc ← pt.vc ⊔ vc(e)`` (initializing and
     activating ``pt`` on first touch).
 
-The intersection in phase 1 can be enumerated two ways (Section 5.4):
+The intersection in phase 1 can be enumerated two ways (Section 5.4), and
+each has exactly one loop here:
 
 * :attr:`Strategy.ENUMERATE` — iterate the finite ``Co(pt)`` and probe
   ``active(o)`` by hash lookup.  Constant work per action for ECL-derived
-  representations (Theorem 6.6), independent of trace length.
-* :attr:`Strategy.SCAN` — iterate ``active(o)`` and test ``Co`` membership.
-  Linear in ``|active(o)|`` but the only option when ``Co(pt)`` is infinite
-  (naive representations).
+  representations (Theorem 6.6), independent of trace length.  It runs
+  over a compiled :class:`~repro.core.plan.CheckPlan` (interned access
+  points, cached ``Co(pt)`` tuples), so it needs a representation that
+  compiles: a bounded :class:`~repro.core.access_points.
+  SchemaRepresentation`.
+* :attr:`Strategy.SCAN` — iterate ``active(o)`` and test ``Co`` membership
+  through the representation.  Linear in ``|active(o)|`` but the only
+  option when ``Co(pt)`` is infinite (naive representations).
 
-:attr:`Strategy.AUTO` picks per representation.  The detector counts its
+:attr:`Strategy.AUTO` picks ENUMERATE exactly when the representation
+compiles.  Both loops share one phase-2 update.  The detector counts its
 conflict checks so the Fig. 4 / scaling benchmarks can report comparisons
 performed, not just wall time.
+
+Epoch point clocks
+------------------
+
+FastTrack's insight — most variables are accessed by one thread at a time,
+so a scalar *epoch* ``c@t`` usually suffices in place of a vector clock —
+transfers to access points.  A point whose touches are totally ordered
+keeps an epoch: its latest toucher's ``(tid, stamp)`` plus the exact
+accumulated clock the pair certifies (see
+:class:`~repro.core.plan._PointEpoch`), so the phase-1 ordering test and
+the phase-2 join are one integer compare each.  Only a *concurrent*
+cross-thread touch — genuine contention, where no single-component
+certificate exists — inflates the point to a bare vector clock, and the
+next ordered touch (or a maintenance window, see
+:meth:`CommutativityRaceDetector.deflate_point_clocks`) deflates it
+back.  Unlike FastTrack's write-epoch (which forgets racy history and
+only guarantees the same *first* race per variable), epochs carry the very
+clock a full-vector-clock detector would store, so race reports are the
+same byte for byte.
 """
 
 from __future__ import annotations
@@ -58,11 +62,11 @@ from time import perf_counter_ns
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .access_points import AccessPoint, AccessPointRepresentation, SchemaId
-from .errors import MonitorError, SpecificationError
+from .errors import MonitorError
 from .events import Action, Event, EventKind, ObjectId
 from .hb import HappensBeforeTracker
-from .plan import (CheckPlan, _BatchBuffer, _PointClock, _PointEpoch,
-                   _as_clock, _point_ordered, _process_compiled,
+from .plan import (CheckPlan, _PointClock, _PointEpoch, _as_clock,
+                   _intern_candidates, _point_ordered, _resolve_points,
                    compile_check_plan)
 from .races import CommutativityRace
 from .vector_clock import Tid, VectorClock
@@ -84,6 +88,33 @@ class Strategy(enum.Enum):
     SCAN = "scan"
 
 
+def resolve_strategy(obj: ObjectId,
+                     representation: AccessPointRepresentation,
+                     strategy: Strategy,
+                     plan: Optional[CheckPlan] = None,
+                     ) -> Tuple[Strategy, Optional[CheckPlan]]:
+    """Resolve one object's phase-1 strategy and the plan it runs on.
+
+    ENUMERATE runs over a compiled :class:`~repro.core.plan.CheckPlan`, so
+    AUTO resolves to it exactly when the representation compiles (or a
+    ``plan`` compiled elsewhere is supplied) and to SCAN otherwise; an
+    explicit ENUMERATE on a representation that does not compile raises
+    :class:`MonitorError`.
+    """
+    if strategy is Strategy.SCAN:
+        return Strategy.SCAN, None
+    if plan is None:
+        plan = compile_check_plan(representation)
+    if plan is not None:
+        return Strategy.ENUMERATE, plan
+    if strategy is Strategy.ENUMERATE:
+        raise MonitorError(
+            f"object {obj!r}: ENUMERATE strategy requires a bounded "
+            f"schema representation that compiles to a check plan "
+            f"({representation!r} does not)")
+    return Strategy.SCAN, None
+
+
 @dataclass
 class DetectorStats:
     """Operation counters for the complexity experiments.
@@ -98,11 +129,11 @@ class DetectorStats:
     points_touched: int = 0
     conflict_checks: int = 0
     races: int = 0
-    #: adaptive mode: points inflated to a bare vector clock by a
+    #: points inflated to a bare vector clock by a
     #: concurrent cross-thread touch (a point can promote again after a
     #: deflation, so this counts inflation *events*, not points)
     epoch_promotions: int = 0
-    #: adaptive mode: inflated points re-certified back to epochs at
+    #: inflated points re-certified back to epochs at
     #: maintenance windows (:meth:`~CommutativityRaceDetector.
     #: deflate_point_clocks`; ordered-touch re-deflations on the hot path
     #: are not counted — they are the representation's normal steady state)
@@ -110,8 +141,8 @@ class DetectorStats:
     #: active points reclaimed by :meth:`~CommutativityRaceDetector.
     #: prune_ordered_points` over the detector's lifetime
     points_pruned: int = 0
-    #: intern-table entries dropped alongside pruned points (the compiled
-    #: path's ``(schema, value) -> AccessPoint`` table would otherwise
+    #: intern-table entries dropped alongside pruned points (the plan's
+    #: ``(schema, value) -> AccessPoint`` table would otherwise
     #: retain every value-carrying point ever touched — pruning without
     #: eviction bounds ``active(o)`` but not memory)
     interned_points_evicted: int = 0
@@ -141,7 +172,7 @@ class _ObjectState:
 
     representation: AccessPointRepresentation
     strategy: Strategy
-    #: compiled ENUMERATE fast path (None: generic interpreted path)
+    #: the compiled plan ENUMERATE runs over (None: SCAN)
     plan: Optional[CheckPlan] = None
     #: ``active(o)`` as an insertion-ordered dict-set: scan order must be
     #: first-touch order, not hash order, so race reports come out
@@ -153,14 +184,14 @@ class _ObjectState:
     #: and check attribution can name (method, method) pairs.  Maintained
     #: (and consulted) only when the detector carries an enabled registry.
     point_method: Dict[AccessPoint, str] = field(default_factory=dict)
-    #: compiled path: ``(schema, value) -> canonical AccessPoint``, so the
+    #: ENUMERATE: ``(schema, value) -> canonical AccessPoint``, so the
     #: state dicts are probed with identity-cached hashes instead of fresh
     #: dataclass instances.  ηo-output validation happens on intern miss —
     #: once per distinct pair, not once per action.
     interned: Dict[Tuple[SchemaId, Any], AccessPoint] = field(
         default_factory=dict)
-    #: compiled path: cached ``Co(pt)`` tuples of canonical points, so
-    #: phase 1 stops driving the conflicting_candidates generator.
+    #: ENUMERATE: cached ``Co(pt)`` tuples of canonical points, so
+    #: phase 1 never drives the conflicting_candidates generator.
     candidates: Dict[AccessPoint, Tuple[AccessPoint, ...]] = field(
         default_factory=dict)
 
@@ -182,23 +213,15 @@ class CommutativityRaceDetector:
     root:
         Thread id of the initial thread.
     strategy:
-        Global phase-1 strategy; ``AUTO`` selects ENUMERATE for bounded
-        representations and SCAN otherwise, per object.
+        Global phase-1 strategy; ``AUTO`` selects ENUMERATE for
+        representations that compile to a check plan and SCAN otherwise,
+        per object.
     on_race:
         Optional callback invoked for each race as it is found (the paper's
         on-the-fly reporting); return value ignored.
     keep_reports:
         When false, races are counted but not accumulated (used by long
         benchmark runs to keep memory flat).
-    adaptive:
-        When true (the default), per-point clocks are epoch-adaptive:
-        a clock-carrying ``(tid, stamp)`` epoch with O(1) ordering tests
-        and joins, inflated to a bare vector clock only on concurrent
-        cross-thread contention and deflated back on ordered touches or
-        at maintenance windows.  Exactly report-preserving;
-        ``adaptive=False`` keeps plain vector clocks everywhere (the
-        hot-path benchmark's PR 4 baseline, and the reference the
-        equivalence suite compares against byte for byte).
     obs:
         Optional :class:`~repro.obs.registry.Registry`.  When enabled, the
         detector attributes conflict checks, races and pruned points per
@@ -208,26 +231,6 @@ class CommutativityRaceDetector:
         instrumented hot path within the benchmark gate's 5% overhead
         budget.  A disabled registry is equivalent to ``None``: the hot
         path pays one ``is None`` test and nothing else.
-    compiled:
-        When true (the default), ENUMERATE-strategy objects whose
-        representation is a bounded :class:`~repro.core.access_points.
-        SchemaRepresentation` run Algorithm 1 through a compiled
-        :class:`~repro.core.plan.CheckPlan` (interned access points,
-        cached candidate tuples, no per-action ηo validation).  Verdict
-        and counter preserving; ``compiled=False`` keeps the generic
-        interpreted path everywhere (the hot-path benchmark's baseline).
-    batch_window:
-        When > 0, compiled-plan actions are accumulated in a columnar
-        :class:`~repro.core.plan._BatchBuffer` of up to ``batch_window``
-        stamped actions and checked in one flat pass per window (struct-
-        of-arrays columns, per-event dispatch hoisted out).  Events are
-        still applied strictly in trace order, so verdicts, report order
-        and obs attribution are byte-identical to ``batch_window=0`` —
-        but races surface on the ``process`` call that *flushes* the
-        window, not necessarily the one that observed the racing action
-        (``races``/``on_race`` ordering is unaffected).  Callers driving
-        ``process`` directly must call :meth:`flush_batch` (``run`` and
-        every maintenance entry point flush automatically).
     predict_window:
         When > 0, the detector additionally runs the predictive pass of
         :mod:`repro.core.predict` over the processed trace: every event
@@ -247,15 +250,9 @@ class CommutativityRaceDetector:
         on_race: Optional[Callable[[CommutativityRace], None]] = None,
         keep_reports: bool = True,
         prune_interval: int = 0,
-        adaptive: bool = True,
         obs=None,
-        compiled: bool = True,
-        batch_window: int = 0,
         predict_window: int = 0,
     ):
-        if batch_window < 0:
-            raise MonitorError(
-                f"batch_window must be >= 0, got {batch_window}")
         if predict_window < 0:
             raise MonitorError(
                 f"predict_window must be >= 0, got {predict_window}")
@@ -265,9 +262,6 @@ class CommutativityRaceDetector:
         self._on_race = on_race
         self._keep_reports = keep_reports
         self._prune_interval = prune_interval
-        self._adaptive = adaptive
-        self._compiled = compiled
-        self._batch = _BatchBuffer(self, batch_window) if batch_window else None
         self._actions_since_prune = 0
         self._objects: Dict[ObjectId, _ObjectState] = {}
         self.races: List[CommutativityRace] = []
@@ -275,11 +269,11 @@ class CommutativityRaceDetector:
         self._predict_window = predict_window
         self._predict_log: Optional[List[Event]] = (
             [] if predict_window else None)
-        # Touched-point capture: the compiled loop resolves ηo for every
+        # Touched-point capture: the ENUMERATE loop resolves ηo for every
         # action anyway, so in predict mode it stashes the tuple and the
         # predictor reuses it instead of re-evaluating the formulas on
-        # refeed.  Keyed by log position; missing entries (batch path,
-        # plan-less objects) fall back to recomputing.
+        # refeed.  Keyed by log position; missing entries (SCAN objects)
+        # fall back to recomputing.
         self._predict_points: Optional[Dict[int, tuple]] = (
             {} if predict_window else None)
         self._predict_last: Optional[tuple] = None
@@ -321,23 +315,12 @@ class CommutativityRaceDetector:
 
         ``plan`` lets callers supply a pre-compiled check plan (the sharded
         analyzer compiles once and ships the plan to every worker);
-        normally it is compiled here when the resolved strategy is
-        ENUMERATE and the detector runs compiled.
+        otherwise it is compiled here (see :func:`resolve_strategy`).
         """
         if obj in self._objects:
             raise MonitorError(f"object {obj!r} registered twice")
-        chosen = strategy or self._strategy
-        if chosen is Strategy.AUTO:
-            chosen = (Strategy.ENUMERATE if representation.bounded
-                      else Strategy.SCAN)
-        if chosen is Strategy.ENUMERATE and not representation.bounded:
-            raise MonitorError(
-                f"object {obj!r}: ENUMERATE strategy requires a bounded "
-                f"representation ({representation!r} is unbounded)")
-        if chosen is not Strategy.ENUMERATE:
-            plan = None
-        elif plan is None and self._compiled:
-            plan = compile_check_plan(representation)
+        chosen, plan = resolve_strategy(obj, representation,
+                                        strategy or self._strategy, plan)
         self._objects[obj] = _ObjectState(representation, chosen, plan=plan)
 
     def release_object(self, obj: ObjectId) -> None:
@@ -348,17 +331,14 @@ class CommutativityRaceDetector:
         """
         self._objects.pop(obj, None)
 
-    def flush_batch(self) -> Optional[List[CommutativityRace]]:
-        """Drain the columnar batch buffer, if one is pending.
+    def flush_batch(self) -> None:
+        """No-op: every action is checked on the call that delivers it.
 
-        Every maintenance entry point (pruning, compaction, deflation) and
-        :meth:`run` flushes automatically; callers that drive
-        :meth:`process` directly with ``batch_window > 0`` flush here
-        once the trace ends.  No-op without batching.
+        Kept only because the layered benchmark's reference pass
+        (``perfbench/layers.py``) calls it after its ``process_stamped``
+        loop, and ``perfbench/run.py`` fails the whole run at setup if
+        that pass raises.  Remove it together with that call.
         """
-        batch = self._batch
-        if batch is not None and batch.count:
-            return batch.flush()
         return None
 
     def prune_ordered_points(self) -> int:
@@ -378,7 +358,6 @@ class CommutativityRaceDetector:
         Enable automatic invocation with the ``prune_interval`` constructor
         parameter (every N actions).
         """
-        self.flush_batch()
         live_clocks = self._hb.live_clocks()
         reclaimed = 0
         for obj, state in self._objects.items():
@@ -396,7 +375,6 @@ class CommutativityRaceDetector:
         reaching the exact per-object state (and stats) the sequential
         detector's :meth:`prune_ordered_points` would at that boundary.
         """
-        self.flush_batch()
         state = self._objects.get(obj)
         if state is None:
             return 0
@@ -415,7 +393,7 @@ class CommutativityRaceDetector:
             state.active.pop(pt, None)
             del point_clock[pt]
             state.point_method.pop(pt, None)
-        # Evict the compiled path's canonical instances along with the
+        # Evict the plan's canonical instances along with the
         # points: every interned entry whose point is no longer active is
         # dead weight — the pruned points themselves, plus probe-only
         # candidates that were interned for their sake and would otherwise
@@ -452,7 +430,7 @@ class CommutativityRaceDetector:
     def interned_point_count(self) -> int:
         """Total interned (schema, value) entries across objects.
 
-        The compiled path's other growing table — together with
+        The ENUMERATE loop's other growing table — together with
         :meth:`active_point_count` this is the detector's per-object
         memory footprint in points.
         """
@@ -484,11 +462,8 @@ class CommutativityRaceDetector:
 
         Meant for maintenance windows (:class:`~repro.core.stream.
         StreamAnalyzer` calls it every window); returns the number of
-        points deflated.  No-op for non-adaptive detectors.
+        points deflated.
         """
-        if not self._adaptive:
-            return 0
-        self.flush_batch()
         live_clocks = self._hb.live_clocks()
         if not live_clocks:
             return 0
@@ -533,7 +508,6 @@ class CommutativityRaceDetector:
         Returns the number of components retired.  Point clocks are
         rebuilt, never mutated: reported races may alias them.
         """
-        self.flush_batch()
         floors = []
         for state in self._objects.values():
             for prior in state.point_clock.values():
@@ -657,20 +631,18 @@ class CommutativityRaceDetector:
             # Unregistered objects are not analyzed (RoadRunner-style tools
             # likewise only track instrumented classes).
             return None
-        self.stats.actions += 1
+        stats = self.stats
+        stats.actions += 1
         if state.plan is not None:
-            batch = self._batch
-            if batch is not None:
-                return batch.enqueue(state, action, event.index, event.tid,
-                                     clock)
-            return _process_compiled(self, state, action, event.tid, clock)
-        if self._batch is not None and self._batch.count:
-            # Plan-less objects run inline; drain the buffer first so the
-            # global race order stays the sequential one.
-            self._batch.flush()
-        rep = state.representation
-        points = rep.points_of(action)
-        self.stats.points_touched += len(points)
+            points = _resolve_points(state, action)
+            if self._predict_log is not None:
+                # Predict mode: the predictive refeed reuses the resolved
+                # tuple instead of re-evaluating ηo (process() files it
+                # under the event's log position).
+                self._predict_last = points
+        else:
+            points = state.representation.points_of(action)
+        stats.points_touched += len(points)
 
         # Sampled actions pay for timing + attribution with their counts
         # weight-scaled back up; unsampled actions pay only for this one
@@ -680,40 +652,37 @@ class CommutativityRaceDetector:
         # sample_interval=1 and statistical otherwise.
         sampled = self._obs is not None and self._obs_sampled
         if sampled:
-            checks_before = self.stats.conflict_checks
             start = perf_counter_ns()
 
         # Phase 1: check for commutativity races.
         found: List[CommutativityRace] = []
-        for pt in points:
-            if state.strategy is Strategy.ENUMERATE:
-                self._check_enumerate(state, pt, event, clock, found)
-            else:
-                self._check_scan(state, pt, event, clock, found)
+        tid = event.tid
+        if state.plan is not None:
+            checks = self._check_plan(state, points, action, tid, clock,
+                                      found)
+        else:
+            checks = self._check_scan(state, points, action, tid, clock,
+                                      found)
+        stats.conflict_checks += checks
 
         if sampled:
-            delta = ((self.stats.conflict_checks - checks_before)
-                     * self._obs_interval)
             table = self._obs_checks_by_object
-            table[action.obj] = table.get(action.obj, 0) + delta
+            table[action.obj] = (table.get(action.obj, 0)
+                                 + checks * self._obs_interval)
             for pt in points:
                 self._attribute_checks(state, pt, action.method)
 
         # Phase 2: update auxiliary state.
-        tid = event.tid
-        adaptive = self._adaptive
         methods = state.point_method if sampled else None
         point_clock = state.point_clock
+        active = state.active
         for pt in points:
             if methods is not None:
                 methods[pt] = action.method
             prior = point_clock.get(pt)
             if prior is None:
-                if adaptive:
-                    point_clock[pt] = _PointEpoch(tid, clock[tid], clock)
-                else:
-                    point_clock[pt] = clock
-                state.active[pt] = None
+                point_clock[pt] = _PointEpoch(tid, clock[tid], clock)
+                active[pt] = None
             elif type(prior) is _PointEpoch:
                 if prior.tid == tid or prior.stamp <= clock[prior.tid]:
                     # Ordered before this event (same thread, or the
@@ -723,9 +692,9 @@ class CommutativityRaceDetector:
                 else:
                     # Concurrent cross-thread touch — genuine contention:
                     # inflate to the full joined clock.
-                    self.stats.epoch_promotions += 1
+                    stats.epoch_promotions += 1
                     point_clock[pt] = prior.clock.join(clock)
-            elif adaptive and prior.leq(clock):
+            elif prior.leq(clock):
                 # The inflated clock is dominated again: this event's
                 # clock subsumes it, so the point deflates back.
                 point_clock[pt] = _PointEpoch(tid, clock[tid], clock)
@@ -735,6 +704,51 @@ class CommutativityRaceDetector:
             self._obs_check_timer.record(perf_counter_ns() - start,
                                          self._obs_interval)
         return found or None
+
+    def _check_plan(self, state: _ObjectState, points, action: Action,
+                    tid: Tid, clock: VectorClock,
+                    found: List[CommutativityRace]) -> int:
+        """ENUMERATE phase 1: probe each cached ``Co(pt)`` tuple against
+        ``active(o)`` — Θ(|Co(pt)|) per point.  Returns the probe count."""
+        point_clock = state.point_clock
+        candidate_map = state.candidates
+        checks = 0
+        for pt in points:
+            cands = candidate_map.get(pt)
+            if cands is None:
+                cands = _intern_candidates(state, pt)
+            checks += len(cands)
+            for candidate in cands:
+                prior = point_clock.get(candidate)
+                if prior is None:
+                    continue  # candidate not active
+                if type(prior) is _PointEpoch:
+                    if prior.stamp <= clock[prior.tid]:
+                        continue
+                    prior = prior.clock
+                elif prior.leq(clock):
+                    continue
+                self._report(state, pt, candidate, prior, action, tid,
+                             clock, found)
+        return checks
+
+    def _check_scan(self, state: _ObjectState, points, action: Action,
+                    tid: Tid, clock: VectorClock,
+                    found: List[CommutativityRace]) -> int:
+        """SCAN phase 1: iterate ``active(o)``, test ``Co`` membership —
+        Θ(|active(o)|) per point.  Returns the probe count."""
+        conflicts = state.representation.conflicts
+        point_clock = state.point_clock
+        active = state.active
+        for pt in points:
+            for active_pt in active:
+                if not conflicts(pt, active_pt):
+                    continue
+                prior = point_clock[active_pt]
+                if not _point_ordered(prior, clock):
+                    self._report(state, pt, active_pt, _as_clock(prior),
+                                 action, tid, clock, found)
+        return len(points) * len(active)
 
     def _attribute_checks(self, state: _ObjectState, pt: AccessPoint,
                           method: str) -> None:
@@ -752,44 +766,14 @@ class CommutativityRaceDetector:
         methods = state.point_method
         weight = self._obs_interval
         if state.plan is not None:
-            # Compiled path: the cached Co(pt) tuple is exactly what
-            # phase 1 just probed (and it is guaranteed present — phase 1
-            # interned it before attribution runs).
+            # The cached Co(pt) tuple is exactly what phase 1 just probed
+            # (and it is guaranteed present — phase 1 built it).
             candidates = state.candidates[pt]
-        elif state.strategy is Strategy.ENUMERATE:
-            candidates = state.representation.conflicting_candidates(pt)
         else:
             candidates = state.active
         for candidate in candidates:
             key = (method, methods.get(candidate, UNTOUCHED))
             pairs[key] = pairs.get(key, 0) + weight
-
-    def _check_enumerate(self, state: _ObjectState, pt: AccessPoint,
-                         event: Event, clock: VectorClock,
-                         found: List[CommutativityRace]) -> None:
-        """Iterate Co(pt), probe active(o) — Θ(|Co(pt)|) per point."""
-        for candidate in state.representation.conflicting_candidates(pt):
-            self.stats.conflict_checks += 1
-            prior_clock = state.point_clock.get(candidate)
-            if prior_clock is None:
-                continue  # candidate not active
-            if not _point_ordered(prior_clock, clock):
-                self._report(state, pt, candidate, _as_clock(prior_clock),
-                             event.action, event.tid, clock, found)
-
-    def _check_scan(self, state: _ObjectState, pt: AccessPoint,
-                    event: Event, clock: VectorClock,
-                    found: List[CommutativityRace]) -> None:
-        """Iterate active(o), test Co membership — Θ(|active(o)|) per point."""
-        rep = state.representation
-        for active_pt in state.active:
-            self.stats.conflict_checks += 1
-            if not rep.conflicts(pt, active_pt):
-                continue
-            prior_clock = state.point_clock[active_pt]
-            if not _point_ordered(prior_clock, clock):
-                self._report(state, pt, active_pt, _as_clock(prior_clock),
-                             event.action, event.tid, clock, found)
 
     def _report(self, state: _ObjectState, pt: AccessPoint,
                 prior_pt: AccessPoint, prior_clock: VectorClock,
@@ -830,7 +814,6 @@ class CommutativityRaceDetector:
         """Process an iterable of events; return all races found."""
         for event in events:
             self.process(event)
-        self.flush_batch()
         if self._predict_log is not None:
             self.predict()
         return self.races
@@ -846,7 +829,6 @@ class CommutativityRaceDetector:
         """
         if self._predict_log is None:
             raise MonitorError("predict() requires predict_window > 0")
-        self.flush_batch()
         predictor = self._predictor
         if predictor is None:
             from .predict import Predictor

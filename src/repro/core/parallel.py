@@ -57,8 +57,8 @@ from .backend import (BackendChoice, resolve_backend,
                       run_pickled_in_subinterpreter)
 from .checkpoint import (CHECKPOINT_VERSION, Checkpoint, CheckpointConfig,
                          CheckpointWriter, event_fingerprint, load_checkpoint)
-from .detector import CommutativityRaceDetector, DetectorStats, Strategy
-from .plan import compile_check_plan
+from .detector import (CommutativityRaceDetector, DetectorStats, Strategy,
+                       resolve_strategy)
 from .errors import CheckpointError, MonitorError
 from .events import (Action, Event, EventKind, ObjectId,
                      pack_stamped_action, unpack_stamped_action)
@@ -96,21 +96,19 @@ def partition_by_load(loads: Sequence[Tuple[ObjectId, int]],
     return [group for group in bins if group]
 
 
-# One shard's inputs: detector knobs plus, per object, the registration
-# (representation, per-object strategy, pre-compiled check plan) and the
-# object's stamped actions.  ``obs_interval`` is None when observability
-# is off; otherwise the worker builds its own registry (sampling at that
-# interval) and ships it back for the merge.  Plans are compiled once in
-# the facade and shipped, not recompiled per shard; pickle memoization
-# dedups the plan's references into the representation riding alongside.
-# ``prune_snaps`` are the phase-A prune boundaries: ``(trace index of the
-# triggering action, live-thread clocks at that moment)`` — what a shard
-# worker needs to prune exactly where (and with exactly the clocks) the
-# sequential detector's ``prune_interval`` counter would.
-# ``batch_window`` turns on the worker detectors' columnar batch checking.
-_ShardPayload = Tuple[bool, Strategy, bool, Optional[int], bool, int,
-                      List[Tuple[int, List[Any]]],
-                      List[Tuple[ObjectId, Any, Optional[Strategy], Any,
+# One shard's inputs: per object, the registration (representation,
+# resolved strategy, pre-compiled check plan) and the object's stamped
+# actions.  ``obs_interval`` is None when observability is off; otherwise
+# the worker builds its own registry (sampling at that interval) and ships
+# it back for the merge.  Plans are compiled once in the facade and
+# shipped, not recompiled per shard; pickle memoization dedups the plan's
+# references into the representation riding alongside.  ``prune_snaps``
+# are the phase-A prune boundaries: ``(trace index of the triggering
+# action, live-thread clocks at that moment)`` — what a shard worker needs
+# to prune exactly where (and with exactly the clocks) the sequential
+# detector's ``prune_interval`` counter would.
+_ShardPayload = Tuple[bool, Optional[int], List[Tuple[int, List[Any]]],
+                      List[Tuple[ObjectId, Any, Strategy, Any,
                                  List[Tuple[Any, ...]]]]]
 
 
@@ -133,60 +131,49 @@ def _analyze_shard(payload: _ShardPayload):
     pool's cost for report-dense traces, mirroring why the sequential
     detector grew ``keep_reports=False`` for long benchmark runs.
     """
-    (adaptive, strategy, need_reports, obs_interval, compiled, batch_window,
-     prune_snaps, objects) = payload
-    detector, obs, triples, batch = _build_shard_detector(
-        adaptive, strategy, need_reports, obs_interval, compiled,
-        batch_window, [entry[:4] for entry in objects])
-    _replay_stamped(detector, obs, triples, batch, need_reports, prune_snaps,
-                    ((obj, packed_actions)
-                     for obj, _, _, _, packed_actions in objects))
+    need_reports, obs_interval, prune_snaps, objects = payload
+    detector, obs = _build_shard_detector(
+        obs_interval, [entry[:4] for entry in objects])
+    triples = _replay_stamped(
+        detector, obs, need_reports, prune_snaps,
+        ((obj, packed_actions) for obj, _, _, _, packed_actions in objects))
     return triples, detector.stats, obs
 
 
-def _build_shard_detector(adaptive, strategy, need_reports, obs_interval,
-                          compiled, batch_window, registrations):
+def _build_shard_detector(obs_interval, registrations):
     """Construct one shard worker's detector from its registrations.
 
     ``registrations`` is ``(obj, representation, strategy, plan)`` tuples —
     the shard payload minus the stamped actions, which arrive either
     inside the payload (pickle backend) or through a shared-memory ring
-    (shm backend).  Returns ``(detector, obs, triples, batch)``.
+    (shm backend).  Returns ``(detector, obs)``.
     """
     obs = None
     if obs_interval is not None:
         from ..obs.registry import Registry
         obs = Registry(sample_interval=obs_interval)
-    detector = CommutativityRaceDetector(strategy=strategy, adaptive=adaptive,
-                                         keep_reports=False, obs=obs,
-                                         compiled=compiled,
-                                         batch_window=batch_window)
-    for obj, representation, obj_strategy, plan in registrations:
-        detector.register_object(obj, representation, obj_strategy, plan=plan)
-    triples: List[Tuple[int, int, CommutativityRace]] = []
-    # With batching, _process_action's return value covers whole flushed
-    # windows, not single events — the buffer itself records every race as
-    # a (trace index, seq) triple straight into the merge format instead.
-    batch = detector._batch
-    if batch is not None and need_reports:
-        batch.tagged_races = triples
-    return detector, obs, triples, batch
+    detector = CommutativityRaceDetector(keep_reports=False, obs=obs)
+    for obj, representation, strategy, plan in registrations:
+        detector.register_object(obj, representation, strategy, plan=plan)
+    return detector, obs
 
 
-def _replay_stamped(detector, obs, triples, batch, need_reports, prune_snaps,
-                    streams) -> None:
+def _replay_stamped(detector, obs, need_reports, prune_snaps, streams):
     """Replay per-object stamped-action streams through Algorithm 1.
 
     ``streams`` yields ``(obj, iterable_of_packed_actions)`` — a list per
     object for the pickle backend, a live ring-decoder iterator for the
     shm backend; the replay is oblivious to which, so both backends run
     the *identical* code path and stay byte-identical by construction.
+    Returns the shard's races as ``(trace index, seq, race)`` triples
+    (empty when ``need_reports`` is false).
     """
     # One reusable Event shell per shard: the detector reads (and the race
     # reports capture) only the per-iteration action/tid/clock values, so
     # rebuilding the carrier dataclass per event is avoidable overhead.
     shell = unpack_stamped_action(None, (0, 0, "", (), (), None))
     stats = detector.stats
+    triples: List[Tuple[int, int, CommutativityRace]] = []
     snap_count = len(prune_snaps)
     replay_start = perf_counter_ns() if obs is not None else 0
     for obj, packed_actions in streams:
@@ -195,12 +182,6 @@ def _replay_stamped(detector, obs, triples, batch, need_reports, prune_snaps,
         # determined by its own actions with index <= boundary, so
         # applying each snapshot between the surrounding actions replays
         # the sequential prune (and its stats) exactly.
-        #
-        # Only plan-backed objects go through the batch buffer (and hence
-        # the tagged_races sink); a plan-less object's races keep coming
-        # back inline from _process_action and must be collected here even
-        # when a buffer exists for the shard's other objects.
-        inline = batch is None or detector._objects[obj].plan is None
         snap_at = 0
         for packed in packed_actions:
             index, shell.tid, method, args, returns, shell.clock = packed
@@ -214,17 +195,17 @@ def _replay_stamped(detector, obs, triples, batch, need_reports, prune_snaps,
             if obs is not None:
                 detector._obs_advance()
             found = detector._process_action(shell, shell.clock)
-            if inline and found and need_reports:
+            if found and need_reports:
                 triples.extend((index, seq, race)
                                for seq, race in enumerate(found))
         while snap_at < snap_count:
             detector.prune_object_with_clocks(obj, prune_snaps[snap_at][1])
             snap_at += 1
-    detector.flush_batch()
     if obs is not None:
         # One exact span per shard: merged, the "shard" timer sums replay
         # CPU time across shards (vs. the facade's "fanout" wall clock).
         obs.timer("shard").record(perf_counter_ns() - replay_start)
+    return triples
 
 
 def _shard_job(index: int, payload: _ShardPayload, attempt: int):
@@ -255,9 +236,9 @@ def _diagnose_unpicklable(payload: _ShardPayload,
         pickle.dumps(payload)
     except Exception as probe:
         objects = payload[-1]
-        for obj, representation, obj_strategy, plan, packed_actions in objects:
+        for obj, representation, strategy, plan, packed_actions in objects:
             for part, value in (("representation", representation),
-                                ("strategy override", obj_strategy),
+                                ("strategy", strategy),
                                 ("check plan", plan),
                                 ("stamped actions", packed_actions)):
                 try:
@@ -281,24 +262,23 @@ def _shm_worker_main(ring_name: str, init_blob: bytes, conn) -> None:
     """Process target for the shm backend: decode-from-ring and replay.
 
     The init blob carries everything *except* the stamped actions — the
-    detector knobs, prune snapshots and per-object registrations, pickled
-    once per worker.  Actions stream in through the shard's record ring
+    report and obs settings, prune snapshots and per-object registrations,
+    pickled once per worker.  Actions stream in through the shard's record ring
     and are replayed as they arrive (pipelined with phase-A encoding).
     The result (or a classified failure) goes back over ``conn`` as
     ``("ok", result)`` / ``("error", kind, detail)``.
     """
     try:
-        (adaptive, strategy, need_reports, obs_interval, compiled,
-         batch_window, prune_snaps, registrations) = pickle.loads(init_blob)
+        need_reports, obs_interval, prune_snaps, registrations = (
+            pickle.loads(init_blob))
         ring = RecordRing.attach(ring_name)
         try:
-            detector, obs, triples, batch = _build_shard_detector(
-                adaptive, strategy, need_reports, obs_interval, compiled,
-                batch_window, registrations)
+            detector, obs = _build_shard_detector(obs_interval,
+                                                  registrations)
             objs = [entry[0] for entry in registrations]
             decoder = StampedDecoder(ring)
-            _replay_stamped(
-                detector, obs, triples, batch, need_reports, prune_snaps,
+            triples = _replay_stamped(
+                detector, obs, need_reports, prune_snaps,
                 ((objs[position], actions)
                  for position, actions in decoder.streams()))
             result = (triples, detector.stats, obs)
@@ -416,7 +396,7 @@ class ShardedDetector:
     ----------
     root:
         Thread id of the initial thread.
-    strategy / adaptive / keep_reports / on_race:
+    strategy / keep_reports / on_race:
         As for the sequential detector; ``on_race`` fires during the merge,
         in stable event-index order.
     workers:
@@ -451,10 +431,6 @@ class ShardedDetector:
         same trace and registrations.  A checkpoint that fails any
         validity check is *rejected, not fatal*: the rejection is recorded
         in :attr:`faults` and the run restamps from the beginning.
-    compiled:
-        As for the sequential detector.  Check plans are compiled once at
-        registration in this facade and shipped inside the shard payloads,
-        so workers skip recompilation.
     prune_interval:
         As for the sequential detector: every N actions, reclaim active
         points (and their interned entries) that are ordered before every
@@ -464,12 +440,6 @@ class ShardedDetector:
         ``interned_points_evicted`` all match the sequential detector's.
         Not combinable with ``checkpoint``/``resume_from`` (the boundary
         snapshots are not checkpointed).
-    batch_window:
-        As for the sequential detector: when > 0, each shard worker's
-        detector accumulates up to this many stamped actions in columnar
-        form and checks them in one pass per window.  Races come back as
-        ``(trace index, seq)``-tagged triples either way, so the merged
-        output is byte-identical to ``batch_window=0``.
     backend:
         Phase-B transport: ``"pickle"`` (the default; payloads pickled
         into a process pool), ``"shm"`` (stamped actions streamed through
@@ -504,7 +474,6 @@ class ShardedDetector:
         strategy: Strategy = Strategy.AUTO,
         on_race: Optional[Callable[[CommutativityRace], None]] = None,
         keep_reports: bool = True,
-        adaptive: bool = True,
         workers: Optional[int] = None,
         mp_context: Optional[str] = None,
         obs=None,
@@ -512,17 +481,12 @@ class ShardedDetector:
         supervisor: Optional[SupervisorConfig] = None,
         checkpoint: Optional[CheckpointConfig] = None,
         resume_from: Optional[str] = None,
-        compiled: bool = True,
         prune_interval: int = 0,
-        batch_window: int = 0,
         backend: str = "pickle",
         ring_slots: Optional[int] = None,
         ring_side_bytes: Optional[int] = None,
         predict_window: int = 0,
     ):
-        if batch_window < 0:
-            raise MonitorError(
-                f"batch_window must be >= 0, got {batch_window}")
         if predict_window < 0:
             raise MonitorError(
                 f"predict_window must be >= 0, got {predict_window}")
@@ -545,7 +509,6 @@ class ShardedDetector:
         self._strategy = strategy
         self._on_race = on_race
         self._keep_reports = keep_reports
-        self._adaptive = adaptive
         self._obs = obs if (obs is not None and obs.enabled) else None
         self.workers = multiprocessing.cpu_count() if workers is None else workers
         if self.workers < 0:
@@ -555,16 +518,13 @@ class ShardedDetector:
         self._supervisor_config = supervisor
         self._checkpoint = checkpoint
         self._resume_from = resume_from
-        self._compiled = compiled
-        self._batch_window = batch_window
         #: Resolved execution backend for phase B (request, selection,
         #: fallback reason) — resolved eagerly so callers can log the
         #: outcome before the first run.
         self.backend: BackendChoice = resolve_backend(backend)
         self._ring_slots = ring_slots or DEFAULT_RING_SLOTS
         self._ring_side_bytes = ring_side_bytes or DEFAULT_SIDE_BYTES
-        self._registrations: Dict[
-            ObjectId, Tuple[Any, Optional[Strategy], Any]] = {}
+        self._registrations: Dict[ObjectId, Tuple[Any, Strategy, Any]] = {}
         self._hb: Optional[HappensBeforeTracker] = None
         self.races: List[CommutativityRace] = []
         self.stats = DetectorStats()
@@ -596,19 +556,12 @@ class ShardedDetector:
                     f"not picklable, so it cannot be shipped to worker "
                     f"processes; use workers<=1 (inline sharding) or the "
                     f"sequential CommutativityRaceDetector") from exc
-        # Compile the ENUMERATE fast path once, here in the facade: every
-        # worker receives the finished plan in its payload instead of
-        # re-deriving it per shard (per-object strategy resolution mirrors
-        # CommutativityRaceDetector.register_object).
-        plan = None
-        if self._compiled:
-            chosen = strategy or self._strategy
-            if chosen is Strategy.AUTO:
-                chosen = (Strategy.ENUMERATE if representation.bounded
-                          else Strategy.SCAN)
-            if chosen is Strategy.ENUMERATE:
-                plan = compile_check_plan(representation)
-        self._registrations[obj] = (representation, strategy, plan)
+        # Resolve the strategy and compile the ENUMERATE plan once, here in
+        # the facade: every worker receives the finished plan in its
+        # payload instead of re-deriving it per shard.
+        chosen, plan = resolve_strategy(obj, representation,
+                                        strategy or self._strategy)
+        self._registrations[obj] = (representation, chosen, plan)
 
     def release_object(self, obj: ObjectId) -> None:
         """Drop a registration before analysis (mirrors the sequential API)."""
@@ -815,9 +768,8 @@ class ShardedDetector:
         for shard_objs in partition_by_load(loads, shard_count):
             objects = [(obj,) + self._registrations[obj] + (groups[obj],)
                        for obj in shard_objs]
-            payloads.append((self._adaptive, self._strategy, need_reports,
-                             obs_interval, self._compiled,
-                             self._batch_window, self._prune_snaps, objects))
+            payloads.append((need_reports, obs_interval, self._prune_snaps,
+                             objects))
         if not payloads:
             return []
         if self.workers <= 1 or len(payloads) == 1:
@@ -862,7 +814,7 @@ class ShardedDetector:
         parent round-robins phase-A encoding across all rings (a full
         ring yields the CPU to other shards, then to the consumer) and
         collects results over a pipe.  Init payloads — registrations and
-        knobs, no actions — are pickled once per shard and reused
+        settings, no actions — are pickled once per shard and reused
         verbatim on retry, mirroring the pool backend's serialize-once
         behavior.
         """
@@ -880,7 +832,7 @@ class ShardedDetector:
                 return blob
             start = perf_counter_ns()
             blob = pickle.dumps(
-                payload[:7] + ([entry[:4] for entry in payload[7]],),
+                payload[:3] + ([entry[:4] for entry in payload[3]],),
                 protocol=pickle.HIGHEST_PROTOCOL)
             if obs is not None:
                 obs.add("ipc_bytes_pickled", len(blob))
@@ -908,7 +860,7 @@ class ShardedDetector:
                     encoder = StampedEncoder(ring)
                     states.append(_ShmJob(
                         index, attempt, ring, recv_conn, proc, encoder,
-                        feed_shard(encoder, payloads[index][7])))
+                        feed_shard(encoder, payloads[index][3])))
                 deadline = (time.monotonic() + config.shard_timeout
                             if config.shard_timeout is not None else None)
                 # Feed phase: interleave all shards' encodes; a blocked

@@ -1,25 +1,21 @@
-"""Compiled per-object check plans — the detector's ENUMERATE fast path.
+"""Compiled per-object check plans — the detector's ENUMERATE input.
 
 Algorithm 1's per-action work against a :class:`~repro.core.access_points.
 SchemaRepresentation` repeatedly asks the representation questions whose
 answers never change after registration: which schemas carry values, which
 schemas conflict with which (and in what enumeration order), and what ηo
-is.  The generic path answers them through ``points_of`` (re-validating
-every ``(schema, value)`` pair per action) and the ``conflicting_candidates``
-generator (re-instantiating ``Co(pt)`` per probe).
-
-A :class:`CheckPlan` is those answers flattened at ``register_object`` time
-into one plain dict of plain tuples::
+is.  A :class:`CheckPlan` is those answers flattened at
+``register_object`` time into one plain dict of plain tuples::
 
     table[schema] = (carries_value, (peer_schema, ...))
 
-so the compiled loop (:func:`_process_compiled`) runs with no
-representation dispatch, no ``Strategy`` branch and no per-action
-validation — ηo output validation moves to the intern-table miss path,
-which fires once per distinct ``(schema, value)`` pair instead of once per
-action.  The peer tuples preserve the conflict *declaration* order, which
-is exactly the order ``conflicting_candidates`` yields; race-report
-identity across processes depends on it.
+so the detector's ENUMERATE loop runs with no representation dispatch
+and no per-action validation — ηo output validation moves to the
+intern-table miss path (:func:`_intern_point`), which fires once per
+distinct ``(schema, value)`` pair instead of once per action.  The peer
+tuples preserve the conflict *declaration* order, which is exactly the
+order ``conflicting_candidates`` yields; race-report identity across
+processes depends on it.
 
 Plans are picklable (a callable plus a dict of tuples), so the sharded
 analyzer compiles once in the facade and ships the plan to every worker
@@ -28,11 +24,11 @@ instead of recompiling per shard.  Under the shared-memory backend
 the pickled *init blob* that configures the shard process; the per-action
 stream that follows it through the ring is plan-free fixed-width records.
 
-Epoch-adaptive point clocks
----------------------------
+Epoch point clocks
+------------------
 
-This module also owns the detector's adaptive point-clock representation.
-A :class:`_PointEpoch` pairs the point's full accumulated vector clock
+This module also owns the detector's point-clock representation.  A
+:class:`_PointEpoch` pairs the point's full accumulated vector clock
 ``V`` with a ``(tid, stamp)`` *certificate* guaranteeing that for every
 event clock ``C`` arriving after the epoch was stored::
 
@@ -41,33 +37,28 @@ event clock ``C`` arriving after the epoch was stored::
 so both the phase-1 ordering test and the phase-2 join collapse to one
 integer compare — FastTrack's O(1) epoch trick, but carrying the exact
 clock (shared, never copied) instead of forgetting it, which keeps race
-reports byte-identical to the plain full-vector-clock detector.  A point
-only *inflates* to a bare vector clock on genuine contention (a
-concurrent cross-thread touch, where no single-component certificate
-exists), and deflates back to an epoch the moment an ordered touch —
-or a maintenance window, see
-:meth:`~repro.core.detector.CommutativityRaceDetector.
+reports byte-identical to a full-vector-clock detector.  A point only
+*inflates* to a bare vector clock on genuine contention (a concurrent
+cross-thread touch, where no single-component certificate exists), and
+deflates back to an epoch the moment an ordered touch — or a maintenance
+window, see :meth:`~repro.core.detector.CommutativityRaceDetector.
 deflate_point_clocks` — re-establishes one.
 
-Columnar batch checking
------------------------
+Interning
+---------
 
-:class:`_BatchBuffer` accumulates a window of stamped actions in
-struct-of-arrays form (parallel arrays of tids, clocks, object states and
-a flat interned-point array with per-event offsets) and runs Algorithm 1
-over the whole window in one flat loop with every hot name bound to a
-local.  Within the window events are still applied strictly in trace
-order — phase 2 of event *i* precedes phase 1 of event *i+1* — so race
-verdicts, report order and ``repro.obs`` attribution are byte-identical
-to per-event processing; the batch only amortizes the per-event dispatch
-(attribute walks, method calls, counter bumps) across the window.
+:func:`_resolve_points` is ηo through a plan: every ``(schema, value)``
+pair resolved to one canonical :class:`~repro.core.access_points.
+AccessPoint` per object state, and :func:`_intern_candidates` caches
+``Co(pt)`` as tuples of those canonical points.  The detector's
+ENUMERATE loop and the predictor's dependence index both resolve points
+through them.
 """
 
 from __future__ import annotations
 
-from time import perf_counter_ns
-from typing import (Any, Callable, Dict, Iterable, List, NamedTuple,
-                    Optional, Tuple, Union)
+from typing import (Any, Callable, Dict, Iterable, NamedTuple, Optional,
+                    Tuple, Union)
 
 from .access_points import (AccessPoint, AccessPointRepresentation, SchemaId,
                             SchemaRepresentation)
@@ -116,13 +107,12 @@ class CheckPlan:
 
 def compile_check_plan(
         representation: AccessPointRepresentation) -> Optional[CheckPlan]:
-    """Compile ``representation`` for the ENUMERATE fast path, if possible.
+    """Compile ``representation`` for the ENUMERATE loop, if possible.
 
     Returns ``None`` when the representation is not a bounded
     :class:`SchemaRepresentation` — custom ``AccessPointRepresentation``
-    subclasses and unbounded (SCAN-only) representations keep the generic
-    interpreted path, whose semantics the compiled loop must match
-    verdict-for-verdict anyway.
+    subclasses and unbounded representations run the interpreted SCAN
+    loop instead.
     """
     if not isinstance(representation, SchemaRepresentation):
         return None
@@ -135,11 +125,11 @@ def compile_check_plan(
     return CheckPlan(representation.touches, table, representation.kind)
 
 
-# -- epoch-adaptive point clocks ----------------------------------------------
+# -- epoch point clocks -------------------------------------------------------
 
 
 class _PointEpoch(NamedTuple):
-    """``c@t`` plus the exact clock it certifies — the adaptive point state.
+    """``c@t`` plus the exact clock it certifies — a point's epoch state.
 
     ``clock`` is the point's full accumulated vector clock ``V`` (shared
     with whatever phase 2 just stored or joined, never copied) and
@@ -156,7 +146,7 @@ class _PointEpoch(NamedTuple):
     ``tid`` component can still decide the comparison.
 
     Because ``as_clock()`` returns the exact ``V``, race reports are
-    byte-identical to the plain detector's — unlike FastTrack's
+    byte-identical to a full-vector-clock detector's — unlike FastTrack's
     write-epoch, which forgets history and only guarantees the same
     *first* race per variable.
     """
@@ -183,7 +173,29 @@ def _as_clock(prior: _PointClock) -> VectorClock:
     return prior.clock if type(prior) is _PointEpoch else prior
 
 
-# -- the compiled per-event loop ----------------------------------------------
+
+
+# -- ηo resolution and interning ----------------------------------------------
+
+
+def _resolve_points(state, action: Action) -> Tuple[AccessPoint, ...]:
+    """ηo through the plan: each ``(schema, value)`` pair of ``action``
+    resolved to its canonical interned point.
+
+    ``state`` is the object's detector state (a ``CheckPlan`` in
+    ``state.plan`` plus its ``interned`` table).  The whole tuple is
+    built before the caller touches any point state, so an invalid pair
+    raises before anything changes, exactly like ``points_of`` would.
+    """
+    interned = state.interned
+    touched = []
+    append = touched.append
+    for schema, value in state.plan.touches(action):
+        pt = interned.get((schema, value))
+        if pt is None:
+            pt = _intern_point(state, action, schema, value)
+        append(pt)
+    return tuple(touched)
 
 
 def _intern_point(state, action: Action,
@@ -192,7 +204,7 @@ def _intern_point(state, action: Action,
 
     Raises the same :class:`SpecificationError`s ``points_of`` would —
     invalid pairs never enter the table, so they take this path (and
-    fail) on every action, matching the generic behavior.
+    fail) on every action.
     """
     entry = state.plan.table.get(schema)
     if entry is None:
@@ -237,313 +249,3 @@ def _intern_candidates(state, pt: AccessPoint) -> Tuple[AccessPoint, ...]:
     tup = tuple(cands)
     state.candidates[pt] = tup
     return tup
-
-
-def _process_compiled(det, state, action: Action, tid: Tid,
-                      clock: VectorClock):
-    """Algorithm 1 over a compiled :class:`CheckPlan`.
-
-    Semantically identical to the detector's generic ENUMERATE path —
-    same verdicts in the same order, same counters, same sampled
-    attribution — but runs a closed loop over interned points and
-    cached candidate tuples: no ``points_of`` validation (moved to the
-    intern miss), no representation dispatch, no candidate generator.
-    """
-    interned = state.interned
-    stats = det.stats
-    # ηo: resolve each (schema, value) pair to its canonical point.
-    # The full list is built before phase 1 so an invalid pair raises
-    # before any state changes, exactly like points_of would.
-    touched: List[AccessPoint] = []
-    append = touched.append
-    for schema, value in state.plan.touches(action):
-        pt = interned.get((schema, value))
-        if pt is None:
-            pt = _intern_point(state, action, schema, value)
-        append(pt)
-    stats.points_touched += len(touched)
-    if det._predict_log is not None:
-        # Predict mode: stash the resolved tuple so the predictive refeed
-        # reuses it instead of re-evaluating ηo (process() files it under
-        # the event's log position).
-        det._predict_last = tuple(touched)
-
-    sampled = det._obs is not None and det._obs_sampled
-    if sampled:
-        start = perf_counter_ns()
-
-    # Phase 1: check for commutativity races.
-    found = []
-    checks = 0
-    point_clock = state.point_clock
-    candidate_map = state.candidates
-    for pt in touched:
-        cands = candidate_map.get(pt)
-        if cands is None:
-            cands = _intern_candidates(state, pt)
-        checks += len(cands)
-        for candidate in cands:
-            prior_clock = point_clock.get(candidate)
-            if prior_clock is None:
-                continue  # candidate not active
-            if type(prior_clock) is _PointEpoch:
-                if prior_clock.stamp <= clock[prior_clock.tid]:
-                    continue
-                prior = prior_clock.clock
-            elif prior_clock.leq(clock):
-                continue
-            else:
-                prior = prior_clock
-            det._report(state, pt, candidate, prior, action, tid, clock,
-                        found)
-    stats.conflict_checks += checks
-
-    if sampled:
-        delta = checks * det._obs_interval
-        table = det._obs_checks_by_object
-        table[action.obj] = table.get(action.obj, 0) + delta
-        for pt in touched:
-            det._attribute_checks(state, pt, action.method)
-
-    # Phase 2: update auxiliary state.
-    adaptive = det._adaptive
-    methods = state.point_method if sampled else None
-    active = state.active
-    for pt in touched:
-        if methods is not None:
-            methods[pt] = action.method
-        prior_clock = point_clock.get(pt)
-        if prior_clock is None:
-            if adaptive:
-                point_clock[pt] = _PointEpoch(tid, clock[tid], clock)
-            else:
-                point_clock[pt] = clock
-            active[pt] = None
-        elif type(prior_clock) is _PointEpoch:
-            if (prior_clock.tid == tid
-                    or prior_clock.stamp <= clock[prior_clock.tid]):
-                # Ordered before this event (same thread, or the epoch
-                # certificate holds): the join *is* this event's clock,
-                # and the event clock is its own O(1) certificate.
-                point_clock[pt] = _PointEpoch(tid, clock[tid], clock)
-            else:
-                # Genuine contention — concurrent cross-thread touch, no
-                # single-component certificate exists: inflate.
-                stats.epoch_promotions += 1
-                point_clock[pt] = prior_clock.clock.join(clock)
-        elif adaptive and prior_clock.leq(clock):
-            # The inflated clock is dominated again: this event's clock
-            # subsumes it, so the point deflates right back to an epoch.
-            point_clock[pt] = _PointEpoch(tid, clock[tid], clock)
-        else:
-            point_clock[pt] = prior_clock.join(clock)
-    if sampled:
-        det._obs_check_timer.record(perf_counter_ns() - start,
-                                    det._obs_interval)
-    return found or None
-
-
-# -- columnar batch checking --------------------------------------------------
-
-
-class _BatchBuffer:
-    """A window of pending compiled actions in struct-of-arrays form.
-
-    ``enqueue`` resolves ηo at arrival time (so ``SpecificationError``s
-    fire on the same ``process`` call the generic path raises them on)
-    and appends one entry per parallel column: tag (trace index), tid,
-    event clock, object state, action, obs-sampling flag, and the
-    touched interned points flattened into one array with per-event
-    offsets.  ``flush`` then replays Algorithm 1 over the whole window
-    in a single flat loop — events strictly in order, phase 2 of event
-    *i* before phase 1 of event *i+1* — with the per-event dispatch
-    cost (attribute walks, method calls, stat bumps) hoisted out.
-
-    The detector drains the buffer before anything reads or rewrites
-    point state out-of-band (pruning, clock compaction, deflation, end
-    of a run), so batched runs stay byte-identical to per-event runs.
-
-    ``tagged_races``, when set to a list, additionally receives
-    ``(tag, seq, race)`` triples — the sharded pipeline's merge format —
-    since the per-call return value no longer maps 1:1 to events.
-    """
-
-    __slots__ = ("det", "window", "count", "tags", "tids", "clocks",
-                 "states", "actions", "sampled", "points_flat",
-                 "points_off", "tagged_races")
-
-    def __init__(self, det, window: int):
-        self.det = det
-        self.window = window
-        self.count = 0
-        self.tags: List[int] = []
-        self.tids: List[Tid] = []
-        self.clocks: List[VectorClock] = []
-        self.states: List[Any] = []
-        self.actions: List[Action] = []
-        self.sampled: List[bool] = []
-        self.points_flat: List[AccessPoint] = []
-        self.points_off: List[int] = [0]
-        #: optional sink for ``(tag, seq, race)`` triples (shard workers)
-        self.tagged_races: Optional[List[Tuple[int, int, Any]]] = None
-
-    def enqueue(self, state, action: Action, tag: int, tid: Tid,
-                clock: VectorClock):
-        """Buffer one stamped action; flush (and return races) when full."""
-        det = self.det
-        flat = self.points_flat
-        touched_start = len(flat)
-        interned = state.interned
-        append = flat.append
-        try:
-            for schema, value in state.plan.touches(action):
-                pt = interned.get((schema, value))
-                if pt is None:
-                    pt = _intern_point(state, action, schema, value)
-                append(pt)
-        except BaseException:
-            # Keep the columns consistent: this event was never enqueued.
-            del flat[touched_start:]
-            raise
-        det.stats.points_touched += len(flat) - touched_start
-        self.tags.append(tag)
-        self.tids.append(tid)
-        self.clocks.append(clock)
-        self.states.append(state)
-        self.actions.append(action)
-        self.sampled.append(det._obs is not None and det._obs_sampled)
-        self.points_off.append(len(flat))
-        self.count += 1
-        if self.count >= self.window:
-            return self.flush()
-        return None
-
-    def flush(self):
-        """Run Algorithm 1 over the buffered window, in event order.
-
-        Returns every race found in the window (or ``None``), already
-        reported through the detector's normal channels (``races`` list,
-        ``on_race`` callback, obs attribution) in exact trace order.
-        """
-        count = self.count
-        if not count:
-            return None
-        det = self.det
-        stats = det.stats
-        obs = det._obs
-        obs_interval = det._obs_interval
-        adaptive = det._adaptive
-        report = det._report
-        tags = self.tags
-        tids = self.tids
-        clocks = self.clocks
-        states = self.states
-        actions = self.actions
-        sampled_flags = self.sampled
-        flat = self.points_flat
-        offsets = self.points_off
-        tagged = self.tagged_races
-        epoch = _PointEpoch
-        intern_candidates = _intern_candidates
-        flushed: List[Any] = []
-        total_checks = 0
-        promotions = 0
-        for i in range(count):
-            state = states[i]
-            action = actions[i]
-            clock = clocks[i]
-            tid = tids[i]
-            lo = offsets[i]
-            hi = offsets[i + 1]
-            point_clock = state.point_clock
-            candidate_map = state.candidates
-            sampled = sampled_flags[i]
-            if obs is not None:
-                # _report consults the live sampling flag for race
-                # attribution; replay the one captured at enqueue time.
-                det._obs_sampled = sampled
-            if sampled:
-                start = perf_counter_ns()
-                checks_before = total_checks
-
-            # Phase 1.
-            found = None
-            for pi in range(lo, hi):
-                pt = flat[pi]
-                cands = candidate_map.get(pt)
-                if cands is None:
-                    cands = intern_candidates(state, pt)
-                total_checks += len(cands)
-                for candidate in cands:
-                    prior_clock = point_clock.get(candidate)
-                    if prior_clock is None:
-                        continue  # candidate not active
-                    if type(prior_clock) is epoch:
-                        if prior_clock.stamp <= clock[prior_clock.tid]:
-                            continue
-                        prior = prior_clock.clock
-                    elif prior_clock.leq(clock):
-                        continue
-                    else:
-                        prior = prior_clock
-                    if found is None:
-                        found = []
-                    report(state, pt, candidate, prior, action, tid, clock,
-                           found)
-
-            if sampled:
-                delta = (total_checks - checks_before) * obs_interval
-                table = det._obs_checks_by_object
-                table[action.obj] = table.get(action.obj, 0) + delta
-                for pi in range(lo, hi):
-                    det._attribute_checks(state, flat[pi], action.method)
-                methods = state.point_method
-            else:
-                methods = None
-
-            # Phase 2.
-            active = state.active
-            for pi in range(lo, hi):
-                pt = flat[pi]
-                if methods is not None:
-                    methods[pt] = action.method
-                prior_clock = point_clock.get(pt)
-                if prior_clock is None:
-                    if adaptive:
-                        point_clock[pt] = epoch(tid, clock[tid], clock)
-                    else:
-                        point_clock[pt] = clock
-                    active[pt] = None
-                elif type(prior_clock) is epoch:
-                    if (prior_clock.tid == tid
-                            or prior_clock.stamp <= clock[prior_clock.tid]):
-                        point_clock[pt] = epoch(tid, clock[tid], clock)
-                    else:
-                        promotions += 1
-                        point_clock[pt] = prior_clock.clock.join(clock)
-                elif adaptive and prior_clock.leq(clock):
-                    point_clock[pt] = epoch(tid, clock[tid], clock)
-                else:
-                    point_clock[pt] = prior_clock.join(clock)
-            if sampled:
-                det._obs_check_timer.record(perf_counter_ns() - start,
-                                            obs_interval)
-            if found is not None:
-                if tagged is not None:
-                    tag = tags[i]
-                    tagged.extend((tag, seq, race)
-                                  for seq, race in enumerate(found))
-                flushed.extend(found)
-
-        stats.conflict_checks += total_checks
-        stats.epoch_promotions += promotions
-        self.count = 0
-        tags.clear()
-        tids.clear()
-        clocks.clear()
-        states.clear()
-        actions.clear()
-        sampled_flags.clear()
-        flat.clear()
-        del offsets[1:]
-        return flushed or None

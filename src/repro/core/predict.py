@@ -82,7 +82,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ReproError
 from .events import Event, EventKind
-from .plan import _intern_candidates, _intern_point
+from .plan import _intern_candidates, _resolve_points
 from .races import CommutativityRace
 
 __all__ = ["PredictedRace", "Predictor", "DEFAULT_PREDICT_WINDOW"]
@@ -147,16 +147,17 @@ class Predictor:
         if window < 1:
             raise ValueError(f"predict window must be >= 1, got {window}")
         self._reps = dict(representations)
-        # Optional compiled-path states (``_ObjectState`` with a
-        # ``CheckPlan``): lets the feed resolve ηo through the detector's
-        # interned canonical points instead of re-evaluating the
+        # Optional ENUMERATE object states (``_ObjectState`` with a
+        # ``CheckPlan``): the feed resolves ηo exactly as the detector's
+        # ENUMERATE loop does (``plan._resolve_points``), onto the same
+        # interned canonical points, instead of re-evaluating the
         # representation formulas per action.  Points come out equal
-        # either way — this is purely the compiled fast path shared.
+        # either way.
         self._plan_states = dict(plan_states) if plan_states else {}
         # Points the detector already resolved during its own pass, keyed
         # by feed position (``CommutativityRaceDetector`` captures them
         # alongside its predict log).  A hit skips ηo entirely; misses
-        # (batch path, plan-less objects, sharded refeeds) recompute.
+        # (SCAN objects, sharded refeeds) recompute.
         self._captured: Dict[int, Tuple[Any, ...]] = (
             captured_points if captured_points is not None else {})
         self._window = window
@@ -276,14 +277,7 @@ class Predictor:
         points = self._captured.get(index)
         if points is None:
             if state is not None:
-                interned = state.interned
-                touched = []
-                for schema, value in state.plan.touches(action):
-                    pt = interned.get((schema, value))
-                    if pt is None:
-                        pt = _intern_point(state, action, schema, value)
-                    touched.append(pt)
-                points = tuple(touched)
+                points = _resolve_points(state, action)
             else:
                 points = rep.points_of(action)
         self._points[index] = points
@@ -294,7 +288,7 @@ class Predictor:
             except TypeError:      # unhashable point value: no memoization
                 pid = None
         else:
-            # Compiled objects resolve conflicts through the plan's
+            # ENUMERATE objects resolve conflicts through the plan's
             # candidate map below — no verdict cache needed.
             pid = None
         prior = self._obj_actions.setdefault(action.obj, [])
@@ -311,7 +305,7 @@ class Predictor:
         clocks = self._clocks
         single = points[0] if len(points) == 1 else None
         if state is not None:
-            # Compiled fast path: points are canonical interned instances
+            # ENUMERATE objects: points are canonical interned instances
             # and ``Co(pt)`` is the plan's cached candidate tuple, so the
             # conflict test is tuple membership riding the identity
             # shortcut — no formula evaluation, no hashing.

@@ -11,7 +11,7 @@ footprint — what can still race — instead of the history:
   detector): active points ordered before every live thread go, and so do
   their intern-table entries and candidate tuples — the Section 5.3
   "remove unnecessary active access points" bound, restored for the
-  compiled hot path.
+  ENUMERATE loop's intern table.
 * **Thread retirement** (every ``window`` events): joined threads' clocks
   leave the happens-before tables; the thread table tracks the live set,
   not the fork total.
@@ -21,10 +21,10 @@ footprint — what can still race — instead of the history:
   on verdict keys, and default streaming keeps it off: with it off,
   streaming race reports are **byte-identical** to the batch detector's
   on the same trace.
-* **Epoch deflation** (every ``window`` events, adaptive detectors):
-  points that contention inflated to full vector clocks are re-certified
-  back to O(1) epochs once the live thread clocks cover them on all but
-  one component — exactly report-preserving, see
+* **Epoch deflation** (every ``window`` events): points that contention
+  inflated to full vector clocks are re-certified back to O(1) epochs
+  once the live thread clocks cover them on all but one component —
+  exactly report-preserving, see
   :meth:`~repro.core.detector.CommutativityRaceDetector.
   deflate_point_clocks`.
 
@@ -87,11 +87,8 @@ class StreamAnalyzer:
         keep_reports: bool = True,
         prune_interval: int = 256,
         window: int = 1024,
-        adaptive: bool = True,
         compact_clocks: bool = False,
         obs=None,
-        compiled: bool = True,
-        batch_window: int = 0,
         on_window: Optional[Callable[["StreamAnalyzer"], None]] = None,
         predict_window: int = 0,
     ):
@@ -100,8 +97,7 @@ class StreamAnalyzer:
         self._detector = CommutativityRaceDetector(
             root=root, strategy=strategy, on_race=on_race,
             keep_reports=keep_reports, prune_interval=prune_interval,
-            adaptive=adaptive, obs=obs, compiled=compiled,
-            batch_window=batch_window, predict_window=predict_window)
+            obs=obs, predict_window=predict_window)
         self._predict = bool(predict_window)
         self._window = window
         self._compact_clocks = compact_clocks
@@ -160,19 +156,18 @@ class StreamAnalyzer:
         return self.finish()
 
     def maintain(self) -> None:
-        """One maintenance cycle: flush, retire, compact, deflate, sample."""
+        """One maintenance cycle: retire, compact, deflate, sample."""
         self._since_maintenance = 0
         self.windows_completed += 1
         detector = self._detector
-        detector.flush_batch()
         self.threads_retired += len(
             detector.happens_before.retire_joined_threads())
         if self._compact_clocks:
             self.components_compacted += (
                 detector.compact_dead_clock_components())
-        # Adaptive detectors re-certify inflated points back to O(1)
-        # epochs against the live clocks (no-op otherwise): contention
-        # that has since been ordered stops taxing every later check.
+        # Re-certify inflated points back to O(1) epochs against the live
+        # clocks: contention that has since been ordered stops taxing
+        # every later check.
         self.points_deflated += detector.deflate_point_clocks()
         if self._predict:
             # Bounded prediction windows flush here: candidates queued

@@ -235,9 +235,13 @@ class TranslatedRepresentation(SchemaRepresentation):
         self._spec = result.spec
         value_schemas = {s for s in result.schemas if s.carries_value}
         plain_schemas = result.schemas - value_schemas
+        # Declaration order is the Co(pt) enumeration order, and hence the
+        # order races are reported in within an event.  RawSchema hashes
+        # differ between interpreters, so iterate the sets sorted (as
+        # describe() and merge() do), never in hash order.
         pairs = []
-        for schema in result.schemas:
-            for peer in result.conflicts.get(schema, ()):
+        for schema in sorted(result.schemas, key=str):
+            for peer in sorted(result.conflicts.get(schema, ()), key=str):
                 pairs.append((schema, peer))
         super().__init__(
             kind=result.spec.kind,

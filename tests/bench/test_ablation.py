@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.ablation import (adaptive_ablation, atomicity_ablation,
+from repro.bench.ablation import (atomicity_ablation,
                                   instrumentation_ablation,
                                   pruning_ablation, render_ablations,
                                   strategy_ablation, translation_ablation)
@@ -47,17 +47,6 @@ class TestInstrumentationAblation:
         rows = instrumentation_ablation(scale=0.1)
         races = {r.variant: r.value for r in rows if r.metric == "races"}
         assert races["rd2"] == races["rd2-maps-only"]
-
-
-class TestAdaptiveAblation:
-    def test_identical_verdicts_and_mostly_epochs(self):
-        rows = adaptive_ablation(actions=500)
-        races = {r.variant: r.value for r in rows if r.metric == "races"}
-        assert races["epochs"] == races["vector-clocks"]
-        promoted = next(r.value for r in rows
-                        if r.metric == "points promoted")
-        # The workload is mostly thread-local key inserts: few promotions.
-        assert int(promoted.split()[0]) < 50
 
 
 class TestPruningAblation:

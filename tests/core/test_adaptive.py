@@ -1,4 +1,9 @@
-"""Epoch-adaptive point clocks (FastTrack's insight applied to points)."""
+"""Epoch-adaptive point clocks (FastTrack's insight applied to points).
+
+The reference is the same detector with every point clock inflated to its
+bare vector clock after each event (``tests.support.run_with_plain_clocks``)
+— what a full-vector-clock detector stores.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -8,14 +13,16 @@ from repro.core.events import NIL
 from repro.core.trace import TraceBuilder
 from repro.specs.dictionary import dictionary_representation
 
-from tests.support import build_trace, race_snapshot, trace_programs
+from tests.support import (build_trace, race_snapshot,
+                           run_with_plain_clocks, trace_programs)
 
 
-def detectors():
-    plain = CommutativityRaceDetector(root=0, adaptive=False)
-    plain.register_object("obj", dictionary_representation())
-    adaptive = CommutativityRaceDetector(root=0, adaptive=True)
-    adaptive.register_object("obj", dictionary_representation())
+def detectors(representation=dictionary_representation):
+    """``(plain, adaptive)``: run ``plain`` with ``run_with_plain_clocks``."""
+    plain = CommutativityRaceDetector(root=0)
+    plain.register_object("obj", representation())
+    adaptive = CommutativityRaceDetector(root=0)
+    adaptive.register_object("obj", representation())
     return plain, adaptive
 
 
@@ -29,14 +36,11 @@ class TestAdaptiveEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_identical_reports_on_random_traces(self, program):
         trace, bundled = build_trace(program)
-        plain = CommutativityRaceDetector(root=0, adaptive=False)
-        plain.register_object("obj", bundled.representation())
-        adaptive = CommutativityRaceDetector(root=0, adaptive=True)
-        adaptive.register_object("obj", bundled.representation())
-        plain.run(trace)
+        plain, adaptive = detectors(bundled.representation)
+        run_with_plain_clocks(plain, trace)
         adaptive.run(trace)
         # Byte-identical, clocks included: epochs carry the exact clock
-        # the plain detector would have stored.
+        # a full vector clock would hold.
         assert ([race_snapshot(r) for r in plain.races]
                 == [race_snapshot(r) for r in adaptive.races])
 
@@ -83,7 +87,7 @@ class TestAdaptiveEquivalence:
                  .invoke(2, "obj", "put", "k", 2, returns=1)
                  .build())
         plain, adaptive = detectors()
-        plain.run(trace)
+        run_with_plain_clocks(plain, trace)
         adaptive.run(trace)
         assert len(adaptive.races) == len(plain.races) == 1
 
@@ -104,7 +108,7 @@ class TestAdaptiveEquivalence:
                  .release(2, "L")
                  .build())
         plain, adaptive = detectors()
-        plain.run(trace)
+        run_with_plain_clocks(plain, trace)
         adaptive.run(trace)
         assert race_keys(plain) == race_keys(adaptive) == []
 
@@ -116,7 +120,7 @@ class TestAdaptiveEquivalence:
                  .invoke(3, "obj", "put", "k", 3, returns=2)   # races 2
                  .build())
         plain, adaptive = detectors()
-        plain.run(trace)
+        run_with_plain_clocks(plain, trace)
         adaptive.run(trace)
         assert race_keys(plain) == race_keys(adaptive)
         # One report per (touched point, conflicting active point) pair:
@@ -131,8 +135,7 @@ class TestAdaptiveEquivalence:
                  .invoke(1, "obj", "put", "k", 1, returns=NIL)
                  .join(0, 1)
                  .build())
-        adaptive = CommutativityRaceDetector(root=0, adaptive=True,
-                                             prune_interval=1)
+        adaptive = CommutativityRaceDetector(root=0, prune_interval=1)
         adaptive.register_object("obj", dictionary_representation())
         adaptive.run(trace)
         # The join arrives after the last action, so the interval-driven
@@ -146,12 +149,10 @@ class TestAdaptiveEquivalence:
     def test_adaptive_plus_pruning_still_equivalent(self, program):
         """The two optimizations compose without changing verdicts."""
         trace, bundled = build_trace(program)
-        plain = CommutativityRaceDetector(root=0, adaptive=False)
-        plain.register_object("obj", bundled.representation())
-        optimized = CommutativityRaceDetector(root=0, adaptive=True,
-                                              prune_interval=1)
+        plain, _ = detectors(bundled.representation)
+        optimized = CommutativityRaceDetector(root=0, prune_interval=1)
         optimized.register_object("obj", bundled.representation())
-        plain.run(trace)
+        run_with_plain_clocks(plain, trace)
         optimized.run(trace)
         assert race_keys(plain) == race_keys(optimized)
 
@@ -163,8 +164,7 @@ class TestAdaptiveEquivalence:
                  .invoke(1, "obj", "put", "k", 1, returns=NIL)
                  .invoke(2, "obj", "put", "k", 2, returns=1)
                  .build())
-        detector = CommutativityRaceDetector(root=0, adaptive=True,
-                                             strategy=Strategy.SCAN)
+        detector = CommutativityRaceDetector(root=0, strategy=Strategy.SCAN)
         detector.register_object(
             "obj", NaiveRepresentation("dictionary",
                                        dictionary_spec().commutes))

@@ -6,9 +6,10 @@ cross-thread argument re-targeting plus tid churn, the epoch machinery's
 worst case):
 
 * **Verdict preservation** — inflation, inline re-deflation and
-  maintenance-window deflation never change a report: every adaptive
-  configuration (including a streaming analyzer deflating every few
-  events) is byte-identical to the always-full-vector-clock detector.
+  maintenance-window deflation never change a report: a streaming
+  analyzer deflating every few events, or a detector deflated between
+  arbitrary events, is byte-identical to the sequential detector, which
+  never deflates.
 * **Contention-only inflation** — a point inflates iff a second thread
   touches it *concurrently*.  The O(1) epoch certificate
   (``stamp <= C[tid]``) is checked against an independent reference that
@@ -17,7 +18,7 @@ worst case):
   promotion-count mismatch.
 * **Persistence** — epoch state survives pickling mid-run (the sharded
   pipeline's transport) and a checkpoint/resume cycle reproduces the
-  uninterrupted run exactly with epochs and batching on.
+  uninterrupted run exactly.
 """
 
 import pickle
@@ -56,30 +57,29 @@ class TestVerdictPreservation:
     def test_adaptive_with_streaming_deflation_byte_identical(self, seed):
         """Deflating every 3 events never perturbs a single report."""
         trace, bindings = adversarial_case(seed)
-        plain = register_bindings(
-            CommutativityRaceDetector(root=0, adaptive=False), bindings)
-        plain.run(trace)
+        sequential = register_bindings(CommutativityRaceDetector(root=0),
+                                       bindings)
+        sequential.run(trace)
         analyzer = register_bindings(
-            StreamAnalyzer(root=0, adaptive=True, window=3,
-                           prune_interval=2, batch_window=2), bindings)
+            StreamAnalyzer(root=0, window=3, prune_interval=2), bindings)
         analyzer.run(trace)
-        assert snapshots(analyzer.races) == snapshots(plain.races)
+        assert snapshots(analyzer.races) == snapshots(sequential.races)
 
     @given(seeds)
     @settings(max_examples=30, deadline=None)
     def test_explicit_deflation_between_events_byte_identical(self, seed):
         """deflate_point_clocks() at arbitrary boundaries is invisible."""
         trace, bindings = adversarial_case(seed)
-        plain = register_bindings(
-            CommutativityRaceDetector(root=0, adaptive=False), bindings)
-        plain.run(trace)
-        adaptive = register_bindings(
-            CommutativityRaceDetector(root=0, adaptive=True), bindings)
+        sequential = register_bindings(CommutativityRaceDetector(root=0),
+                                       bindings)
+        sequential.run(trace)
+        deflated = register_bindings(CommutativityRaceDetector(root=0),
+                                     bindings)
         for index, event in enumerate(trace):
-            adaptive.process(event)
+            deflated.process(event)
             if index % 5 == 4:
-                adaptive.deflate_point_clocks()
-        assert snapshots(adaptive.races) == snapshots(plain.races)
+                deflated.deflate_point_clocks()
+        assert snapshots(deflated.races) == snapshots(sequential.races)
 
     @given(seeds)
     @settings(max_examples=30, deadline=None)
@@ -92,7 +92,7 @@ class TestVerdictPreservation:
         """
         trace, bindings = adversarial_case(seed)
         detector = register_bindings(
-            CommutativityRaceDetector(root=0, adaptive=True), bindings)
+            CommutativityRaceDetector(root=0), bindings)
         detector.run(trace)
         hb = detector.happens_before
         for tid in list(hb.live_threads()):
@@ -153,7 +153,7 @@ class TestContentionOnlyInflation:
     def test_promotion_count_matches_full_comparison_reference(self, seed):
         trace, bindings = adversarial_case(seed)
         detector = register_bindings(
-            CommutativityRaceDetector(root=0, adaptive=True), bindings)
+            CommutativityRaceDetector(root=0), bindings)
         detector.run(trace)
         assert (detector.stats.epoch_promotions
                 == self.reference_promotions(trace, bindings))
@@ -165,7 +165,7 @@ class TestContentionOnlyInflation:
         trace, bindings = build_multi_object_trace(
             (kinds, seed, 1, 40, 0.0, False))
         detector = register_bindings(
-            CommutativityRaceDetector(root=0, adaptive=True), bindings)
+            CommutativityRaceDetector(root=0), bindings)
         detector.run(trace)
         assert detector.stats.epoch_promotions == 0
         assert detector.stats.races == 0
@@ -178,7 +178,7 @@ class TestContentionOnlyInflation:
         trace, bindings = build_multi_object_trace(
             (kinds, seed, 4, 40, 1.0, False))
         detector = register_bindings(
-            CommutativityRaceDetector(root=0, adaptive=True), bindings)
+            CommutativityRaceDetector(root=0), bindings)
         detector.run(trace)
         assert detector.stats.epoch_promotions == 0
         assert detector.stats.races == 0
@@ -188,22 +188,19 @@ class TestPersistence:
     @given(seeds)
     @settings(max_examples=25, deadline=None)
     def test_epoch_state_pickles_mid_run(self, seed):
-        """A mid-run detector (epochs, inflated points, pending batch)
-        pickles, and the copy finishes the trace identically."""
+        """A mid-run detector (epochs and inflated points) pickles, and
+        the copy finishes the trace identically."""
         trace, bindings = adversarial_case(seed)
         events = list(trace)
         cut = len(events) // 2
-        original = register_bindings(
-            CommutativityRaceDetector(root=0, adaptive=True,
-                                      batch_window=3), bindings)
+        original = register_bindings(CommutativityRaceDetector(root=0),
+                                     bindings)
         for event in events[:cut]:
             original.process(event)
         clone = pickle.loads(pickle.dumps(original))
         for event in events[cut:]:
             original.process(event)
             clone.process(event)
-        original.flush_batch()
-        clone.flush_batch()
         assert snapshots(clone.races) == snapshots(original.races)
         assert clone.stats == original.stats
 
@@ -216,7 +213,7 @@ class TestPersistence:
 
     @given(seeds)
     @settings(max_examples=10, deadline=None)
-    def test_checkpoint_resume_with_epochs_and_batching(self, seed):
+    def test_checkpoint_resume_with_epochs(self, seed):
         """Resume reconstructs worker-side epoch state deterministically."""
         trace, bindings = adversarial_case(seed)
         # tempfile instead of the tmp_path fixture: function-scoped pytest
@@ -227,14 +224,13 @@ class TestPersistence:
     def _resume_case(self, trace, bindings, path):
         interval = max(1, len(trace) // 3)
         full = register_bindings(
-            ShardedDetector(root=0, workers=1, adaptive=True, batch_window=4,
+            ShardedDetector(root=0, workers=1,
                             checkpoint=CheckpointConfig(path,
                                                         interval=interval)),
             bindings)
         full.run(trace)
         resumed = register_bindings(
-            ShardedDetector(root=0, workers=1, adaptive=True, batch_window=4,
-                            resume_from=path), bindings)
+            ShardedDetector(root=0, workers=1, resume_from=path), bindings)
         resumed.run(trace)
         assert not resumed.faults
         assert snapshots(resumed.races) == snapshots(full.races)

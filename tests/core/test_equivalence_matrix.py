@@ -1,35 +1,23 @@
-"""Cross-configuration verdict preservation on one randomized corpus.
+"""Engine × backend equivalence, anchored on the literal detector.
 
-The detector docstring promises that its configuration knobs change cost,
-never verdicts: adaptive point epochs vs plain vector clocks, and the
-ENUMERATE vs SCAN phase-1 strategies (Section 5.4), must agree race for
-race.  This suite pins that promise on the same randomized multi-object
-corpus the sharded differential harness uses, for both the sequential
-detector and the sharded pipeline.
+Algorithm 1 exists once — an ENUMERATE loop over compiled plans and a SCAN
+loop for everything else — so what varies is the *engine* that drives it:
+the sequential detector, the sharded pipeline inline (``workers=1``) or
+over two workers on each execution backend the host offers, and the
+streaming analyzer with maintenance windows and pruning.  On the 40-seed
+randomized multi-object corpus two checks anchor the matrix:
 
-Comparison granularity differs deliberately:
+1. every engine's race reports are byte-identical to the sequential
+   engine's — same races, same clocks, same order;
+2. the sequential engine flags exactly the events the literal
+   :class:`~repro.core.direct.DirectDetector` (Section 5.1) flags, so the
+   reference is the paper's definition rather than another optimised path.
 
-* ENUMERATE vs SCAN visit the same (point, candidate) pairs in different
-  orders, so reports are compared as sorted full snapshots (clocks
-  included) — content must match exactly, order may not.
-* adaptive (epoch) mode carries the exact accumulated clock inside each
-  epoch, so adaptive-vs-plain is compared **byte-identically** — same
-  reports, same clocks, same order.  (Before clock-carrying epochs this
-  suite had to fall back to verdict keys; the stronger identity is the
-  point of the representation.)
-* the compiled hot path (check plans + interned access points) is a pure
-  execution strategy: it enumerates the same candidates in the same
-  order as representation dispatch, so compiled-vs-uncompiled is the
-  *strictest* comparison — reports equal in content **and order**, stats
-  equal counter for counter.
-* columnar batch checking replays the same loop window-at-a-time, and
-  every window size must be invisible: reports and stats identical to
-  per-event processing for any ``batch_window``.
-
-The full-matrix test closes the loop: every configuration on the
-compiled × adaptive × batch-window × (sequential|sharded) axes — 24
-configurations — must report **byte-identically** to the one reference
-everything is defined against, the sequential uncompiled plain detector.
+The remaining classes pin the axes that survive inside one engine:
+ENUMERATE vs SCAN (Section 5.4) and the predictive pass.  Epochs are
+checked against full vector clocks in ``test_adaptive.py`` and on the
+golden corpus.  The CI matrix reruns this file under both
+multiprocessing start methods (``REPRO_TEST_START_METHOD``).
 """
 
 import os
@@ -40,10 +28,11 @@ from repro.core.backend import (free_threaded, shm_available,
                                 subinterpreters_available)
 from repro.core.detector import CommutativityRaceDetector, Strategy
 from repro.core.parallel import ShardedDetector
+from repro.core.stream import StreamAnalyzer
 
-from tests.support import (build_multi_object_trace, race_snapshot,
-                           random_multi_object_program, register_bindings,
-                           verdict_keys)
+from tests.support import (build_multi_object_trace, direct_flagged,
+                           flagged_events, race_snapshot,
+                           random_multi_object_program, register_bindings)
 
 CORPUS_SEEDS = range(40)
 
@@ -54,7 +43,7 @@ START_METHOD = os.environ.get("REPRO_TEST_START_METHOD") or None
 
 def corpus():
     for seed in CORPUS_SEEDS:
-        yield build_multi_object_trace(random_multi_object_program(seed))
+        yield seed, build_multi_object_trace(random_multi_object_program(seed))
 
 
 def run_detector(trace, bindings, factory, **kw):
@@ -65,10 +54,108 @@ def run_detector(trace, bindings, factory, **kw):
     return detector
 
 
+def sequential(trace, bindings):
+    return run_detector(trace, bindings, CommutativityRaceDetector)
+
+
+def reports(detector):
+    return [race_snapshot(race) for race in detector.races]
+
+
 def snapshots(detector):
     """Race snapshots as sortable tuples (order-insensitive comparison)."""
     return sorted(tuple(sorted(race_snapshot(race).items()))
                   for race in detector.races)
+
+
+def assert_matches_sequential(factory, seeds=CORPUS_SEEDS, **kw):
+    for seed in seeds:
+        trace, bindings = build_multi_object_trace(
+            random_multi_object_program(seed))
+        reference = sequential(trace, bindings)
+        engine = run_detector(trace, bindings, factory, **kw)
+        assert reports(engine) == reports(reference), seed
+        assert engine.stats.races == reference.stats.races, seed
+    return engine
+
+
+class TestDirectReference:
+    def test_flags_match_direct(self):
+        """Check 2: the sequential engine flags exactly the events the
+        literal DirectDetector flags."""
+        nonempty = 0
+        for seed, (trace, bindings) in corpus():
+            detector = sequential(trace, bindings)
+            flagged = flagged_events(detector.races, list(trace))
+            assert flagged == direct_flagged(trace, bindings), seed
+            nonempty += bool(flagged)
+        # The corpus must exercise the race paths, not compare empties.
+        assert nonempty >= 10
+
+
+@pytest.mark.parametrize("engine", ["sharded-w1", "streaming"])
+class TestEngineEquivalence:
+    def test_matches_sequential(self, engine):
+        """Check 1 for the engines that need no second process."""
+        if engine == "sharded-w1":
+            assert_matches_sequential(ShardedDetector, workers=1)
+        else:
+            assert_matches_sequential(StreamAnalyzer, window=5,
+                                      prune_interval=3)
+
+
+# Two-worker backend legs.  ``thread`` means true parallelism only on a
+# free-threaded (PEP 703) build and *skips* elsewhere rather than testing
+# a degenerate configuration; ``subinterp`` is its own class below.
+BACKEND_AXES = [
+    "pickle",
+    pytest.param("shm", marks=pytest.mark.skipif(
+        not shm_available(), reason="no shared memory on this host")),
+    pytest.param("thread", marks=pytest.mark.skipif(
+        not free_threaded(),
+        reason="requires a free-threaded (PEP 703) interpreter")),
+]
+
+
+@pytest.mark.parametrize("backend", BACKEND_AXES)
+class TestBackendEquivalence:
+    """The execution backend must be invisible, byte for byte."""
+
+    def test_byte_identical_to_sequential_reference(self, backend):
+        det = assert_matches_sequential(ShardedDetector, workers=2,
+                                        backend=backend)
+        assert det.backend.selected == backend, det.backend
+
+    def test_stats_match_the_pickle_backend(self, backend):
+        # Same transport-invisibility claim for the counters: whatever
+        # crosses the process boundary, the detector work is identical.
+        for seed in list(CORPUS_SEEDS)[:6]:
+            program = random_multi_object_program(seed)
+            trace, bindings = build_multi_object_trace(program)
+            pickled = run_detector(trace, bindings, ShardedDetector,
+                                   workers=2, backend="pickle")
+            other = run_detector(trace, bindings, ShardedDetector,
+                                 workers=2, backend=backend)
+            assert other.races == pickled.races
+            assert other.stats == pickled.stats
+
+
+class TestSubinterpreterAxis:
+    """Optional leg: per-shard subinterpreters where the runtime has a
+    usable implementation; skips (never fails) everywhere else.  Each run
+    pays a subinterpreter start-up of about a second, so this leg keeps a
+    four-seed sample of the corpus."""
+
+    pytestmark = pytest.mark.skipif(
+        not subinterpreters_available()[0],
+        reason=f"subinterpreters unusable "
+               f"({subinterpreters_available()[1] or 'no module'})")
+
+    def test_byte_identical_to_sequential_reference(self):
+        det = assert_matches_sequential(ShardedDetector,
+                                        seeds=(3, 17, 31, 39), workers=2,
+                                        backend="subinterp")
+        assert det.backend.selected == "subinterp", det.backend
 
 
 @pytest.mark.parametrize("factory", [CommutativityRaceDetector,
@@ -76,7 +163,9 @@ def snapshots(detector):
                          ids=["sequential", "sharded"])
 class TestStrategyEquivalence:
     def test_enumerate_vs_scan_same_reports(self, factory):
-        for trace, bindings in corpus():
+        # ENUMERATE and SCAN visit the same (point, candidate) pairs in
+        # different orders: same content, order may differ.
+        for _, (trace, bindings) in corpus():
             enum = run_detector(trace, bindings, factory,
                                 strategy=Strategy.ENUMERATE)
             scan = run_detector(trace, bindings, factory,
@@ -85,83 +174,14 @@ class TestStrategyEquivalence:
             assert enum.stats.races == scan.stats.races
 
     def test_auto_matches_enumerate_for_bundled_reps(self, factory):
-        # Every bundled representation is bounded, so AUTO must resolve to
+        # Every bundled representation compiles, so AUTO must resolve to
         # ENUMERATE — identical reports *and* identical check counts.
-        for trace, bindings in corpus():
+        for _, (trace, bindings) in corpus():
             auto = run_detector(trace, bindings, factory)
             enum = run_detector(trace, bindings, factory,
                                 strategy=Strategy.ENUMERATE)
             assert auto.races == enum.races
             assert auto.stats == enum.stats
-
-
-@pytest.mark.parametrize("factory", [CommutativityRaceDetector,
-                                     ShardedDetector],
-                         ids=["sequential", "sharded"])
-class TestAdaptiveEquivalence:
-    def test_adaptive_vs_plain_byte_identical(self, factory):
-        for trace, bindings in corpus():
-            plain = run_detector(trace, bindings, factory, adaptive=False)
-            adaptive = run_detector(trace, bindings, factory, adaptive=True)
-            assert ([race_snapshot(r) for r in adaptive.races]
-                    == [race_snapshot(r) for r in plain.races])
-            assert adaptive.stats.races == plain.stats.races
-
-
-@pytest.mark.parametrize("factory", [CommutativityRaceDetector,
-                                     ShardedDetector],
-                         ids=["sequential", "sharded"])
-class TestCompiledEquivalence:
-    def test_compiled_vs_uncompiled_identical(self, factory):
-        """The strict identity: same reports in the same order, same stats."""
-        for trace, bindings in corpus():
-            compiled = run_detector(trace, bindings, factory)
-            dispatch = run_detector(trace, bindings, factory, compiled=False)
-            assert compiled.races == dispatch.races
-            assert compiled.stats == dispatch.stats
-
-    def test_compiled_composes_with_adaptive_and_scan(self, factory):
-        # The plan axis must be invisible whatever it is combined with:
-        # under SCAN no plan compiles (the flag is a no-op), under
-        # adaptive the epoch bookkeeping rides the compiled loop.
-        for trace, bindings in corpus():
-            for adaptive in (False, True):
-                for strategy in (Strategy.ENUMERATE, Strategy.SCAN):
-                    compiled = run_detector(trace, bindings, factory,
-                                            adaptive=adaptive,
-                                            strategy=strategy)
-                    dispatch = run_detector(trace, bindings, factory,
-                                            adaptive=adaptive,
-                                            strategy=strategy,
-                                            compiled=False)
-                    assert compiled.races == dispatch.races
-                    assert compiled.stats == dispatch.stats
-
-
-@pytest.mark.parametrize("factory", [CommutativityRaceDetector,
-                                     ShardedDetector],
-                         ids=["sequential", "sharded"])
-class TestBatchEquivalence:
-    def test_batched_vs_per_event_identical(self, factory):
-        """Any window size is invisible: same reports in order, same stats."""
-        for trace, bindings in corpus():
-            per_event = run_detector(trace, bindings, factory)
-            for window in (1, 3, 64):
-                batched = run_detector(trace, bindings, factory,
-                                       batch_window=window)
-                assert batched.races == per_event.races
-                assert batched.stats == per_event.stats
-
-    def test_batching_composes_with_pruning(self, factory):
-        # Prune entry points drain the buffer first, so the prune cadence
-        # (and its counters) must be unchanged by batching.
-        for trace, bindings in corpus():
-            per_event = run_detector(trace, bindings, factory,
-                                     prune_interval=3)
-            batched = run_detector(trace, bindings, factory,
-                                   prune_interval=3, batch_window=7)
-            assert batched.races == per_event.races
-            assert batched.stats == per_event.stats
 
 
 PREDICT_SEEDS = list(CORPUS_SEEDS)[:12]
@@ -186,8 +206,7 @@ class TestPredictiveEquivalence:
             plain = run_detector(trace, bindings, factory)
             predictive = run_detector(trace, bindings, factory,
                                       predict_window=32)
-            assert ([race_snapshot(r) for r in predictive.races]
-                    == [race_snapshot(r) for r in plain.races]), seed
+            assert reports(predictive) == reports(plain), seed
             assert predictive.stats.races == plain.stats.races
 
     def test_predictions_match_the_sequential_reference(self, factory):
@@ -203,150 +222,3 @@ class TestPredictiveEquivalence:
             assert ([(p.pair, race_snapshot(p.race)) for p in det.predicted]
                     == [(p.pair, race_snapshot(p.race))
                         for p in reference.predicted]), seed
-
-    def test_prediction_composes_with_batch_and_adaptive(self, factory):
-        for seed in PREDICT_SEEDS[:6]:
-            trace, bindings = build_multi_object_trace(
-                random_multi_object_program(seed))
-            reference = run_detector(trace, bindings,
-                                     CommutativityRaceDetector,
-                                     predict_window=32)
-            det = run_detector(trace, bindings, factory, predict_window=32,
-                               adaptive=False, batch_window=7)
-            assert ([(p.pair, race_snapshot(p.race)) for p in det.predicted]
-                    == [(p.pair, race_snapshot(p.race))
-                        for p in reference.predicted]), seed
-
-
-class TestFullMatrix:
-    def test_all_twenty_four_configurations_byte_identical(self):
-        """compiled × adaptive × batch-window × (sequential|sharded).
-
-        Every one of the 24 configurations must report byte-identically
-        (clocks included, order included) to the reference everything is
-        specified against: the sequential uncompiled plain detector.
-        """
-        for trace, bindings in corpus():
-            reference = run_detector(trace, bindings,
-                                     CommutativityRaceDetector,
-                                     compiled=False, adaptive=False)
-            want = [race_snapshot(r) for r in reference.races]
-            for factory in (CommutativityRaceDetector, ShardedDetector):
-                for compiled in (False, True):
-                    for adaptive in (False, True):
-                        for batch_window in (0, 1, 7):
-                            det = run_detector(trace, bindings, factory,
-                                               compiled=compiled,
-                                               adaptive=adaptive,
-                                               batch_window=batch_window)
-                            got = [race_snapshot(r) for r in det.races]
-                            assert got == want, (
-                                f"{factory.__name__} compiled={compiled} "
-                                f"adaptive={adaptive} "
-                                f"batch_window={batch_window}")
-
-    def test_scan_matrix_agrees_on_verdicts(self):
-        """The SCAN strategy reorders reports, so its matrix leg is
-        compared on verdict keys (the old 16-config identity)."""
-        for trace, bindings in corpus():
-            verdicts = set()
-            for factory in (CommutativityRaceDetector, ShardedDetector):
-                for compiled in (False, True):
-                    for adaptive in (False, True):
-                        for strategy in (Strategy.ENUMERATE, Strategy.SCAN):
-                            det = run_detector(trace, bindings, factory,
-                                               compiled=compiled,
-                                               adaptive=adaptive,
-                                               strategy=strategy)
-                            verdicts.add(tuple(verdict_keys(det.races)))
-            assert len(verdicts) == 1
-
-
-# Shard-transport axes.  ``shm`` is expected everywhere CI runs; the
-# ``thread`` axis only means true parallelism on a free-threaded (PEP
-# 703) build and *skips* elsewhere rather than testing a degenerate
-# configuration.  The CI matrix reruns this file under both fork and
-# spawn (``REPRO_TEST_START_METHOD``), so each axis is proven under both
-# start methods.
-BACKEND_AXES = [
-    pytest.param("shm", marks=pytest.mark.skipif(
-        not shm_available(), reason="no shared memory on this host")),
-    pytest.param("thread", marks=pytest.mark.skipif(
-        not free_threaded(),
-        reason="requires a free-threaded (PEP 703) interpreter")),
-]
-
-BACKEND_SEEDS = list(CORPUS_SEEDS)[:16]
-
-
-@pytest.mark.parametrize("backend", BACKEND_AXES)
-class TestBackendEquivalence:
-    """The execution backend must be invisible, byte for byte.
-
-    Every transport — pickled pool, shared-memory rings, free-threaded
-    thread pool — replays the same stamped actions through the same
-    detector, so reports must match the sequential uncompiled plain
-    reference exactly: same races, same clocks, same order.
-    """
-
-    def test_byte_identical_to_sequential_reference(self, backend):
-        for seed in BACKEND_SEEDS:
-            program = random_multi_object_program(seed)
-            trace, bindings = build_multi_object_trace(program)
-            reference = run_detector(trace, bindings,
-                                     CommutativityRaceDetector,
-                                     compiled=False, adaptive=False)
-            det = run_detector(trace, bindings, ShardedDetector,
-                               workers=2, backend=backend)
-            assert det.backend.selected == backend, det.backend
-            assert ([race_snapshot(r) for r in det.races]
-                    == [race_snapshot(r) for r in reference.races]), seed
-
-    def test_stats_match_the_pickle_backend(self, backend):
-        # Same transport-invisibility claim for the counters: whatever
-        # crosses the process boundary, the detector work is identical.
-        for seed in BACKEND_SEEDS[:6]:
-            program = random_multi_object_program(seed)
-            trace, bindings = build_multi_object_trace(program)
-            pickled = run_detector(trace, bindings, ShardedDetector,
-                                   workers=2, backend="pickle")
-            other = run_detector(trace, bindings, ShardedDetector,
-                                 workers=2, backend=backend)
-            assert other.races == pickled.races
-            assert other.stats == pickled.stats
-
-    def test_composes_with_prune_batch_and_adaptive(self, backend):
-        for seed in (3, 17, 41):
-            program = random_multi_object_program(seed)
-            trace, bindings = build_multi_object_trace(program)
-            reference = run_detector(trace, bindings,
-                                     CommutativityRaceDetector,
-                                     compiled=False, adaptive=False)
-            det = run_detector(trace, bindings, ShardedDetector,
-                               workers=2, backend=backend, adaptive=True,
-                               prune_interval=7, batch_window=16)
-            assert ([race_snapshot(r) for r in det.races]
-                    == [race_snapshot(r) for r in reference.races]), seed
-
-
-class TestSubinterpreterAxis:
-    """Optional axis: per-shard subinterpreters where the runtime has a
-    usable implementation; skips (never fails) everywhere else."""
-
-    pytestmark = pytest.mark.skipif(
-        not subinterpreters_available()[0],
-        reason=f"subinterpreters unusable "
-               f"({subinterpreters_available()[1] or 'no module'})")
-
-    def test_byte_identical_to_sequential_reference(self):
-        for seed in (3, 17, 41, 77):
-            program = random_multi_object_program(seed, max_ops=60)
-            trace, bindings = build_multi_object_trace(program)
-            reference = run_detector(trace, bindings,
-                                     CommutativityRaceDetector,
-                                     compiled=False, adaptive=False)
-            det = run_detector(trace, bindings, ShardedDetector,
-                               workers=2, backend="subinterp")
-            assert det.backend.selected == "subinterp", det.backend
-            assert ([race_snapshot(r) for r in det.races]
-                    == [race_snapshot(r) for r in reference.races]), seed

@@ -12,12 +12,13 @@ import pathlib
 
 import pytest
 
-from repro.core.detector import CommutativityRaceDetector
+from repro.core.detector import CommutativityRaceDetector, Strategy
 from repro.core.parallel import ShardedDetector
 from repro.core.serialize import load_trace
 from repro.specs import bundled_objects
 
-from tests.support import race_snapshot, verdict_keys
+from tests.support import (inflate_point_clocks, race_snapshot,
+                           run_with_plain_clocks, verdict_keys)
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 EXPECTED_DIR = DATA_DIR / "expected"
@@ -64,42 +65,102 @@ def test_sharded_detector_matches_snapshot(name, workers):
         == expected["races"]
 
 
-# -- fast-path axes (PR 4): same frozen snapshots, never regenerated ---------
+# -- loop and clock axes: same frozen snapshots, never regenerated ----------
 #
-# The default sequential/sharded tests above already run the compiled hot
-# path (``compiled=True`` is the default), so the corpus pins it byte for
-# byte.  These variants pin the remaining axes against the *same* disk
-# snapshots: the seed dispatch path, the compiled flag through the process
-# pool, and adaptive mode (clock-insensitive verdict keys, per the
-# equivalence-matrix conventions).
+# The tests above pin the default engines.  These pin the variations that
+# survive inside them against the *same* disk snapshots.  Their names date
+# from the configuration knobs they used to exercise:
+#
+# * "seed path" and "dispatch" are the interpreted loop — the SCAN loop,
+#   whose reports may reorder within an event, so it is compared as a
+#   multiset; "compiled" is the ENUMERATE loop over a check plan.
+# * "plain clock" inflates every point clock to its bare vector clock after
+#   each event, which is exactly what a full-vector-clock detector stores.
+# * a "batch" is the W events between two point-clock rewrites: inflating
+#   everything ("plain") or deflating at a maintenance window ("epochs")
+#   must be invisible at any cadence.
+
+def register(detector, expected, strategy=None):
+    registry = bundled_objects()
+    for obj, kind in expected["bindings"].items():
+        detector.register_object(obj, registry[kind].representation(),
+                                 strategy)
+    return detector
+
+
+def multiset(snapshots):
+    return sorted(json.dumps(snapshot, sort_keys=True)
+                  for snapshot in snapshots)
+
+
+def assert_matches(races, expected, strategy):
+    got = [race_snapshot(race) for race in races]
+    if strategy is Strategy.SCAN:
+        assert multiset(got) == multiset(expected["races"])
+    else:
+        assert got == expected["races"]
+
+
+LOOPS = pytest.mark.parametrize("compiled", [False, True],
+                                ids=["dispatch", "compiled"])
+
+
+def loop_strategy(compiled):
+    return Strategy.ENUMERATE if compiled else Strategy.SCAN
+
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_seed_path_matches_snapshot(name):
     trace, expected = load_case(name)
-    registry = bundled_objects()
-    detector = CommutativityRaceDetector(root=trace.root, compiled=False)
-    for obj, kind in expected["bindings"].items():
-        detector.register_object(obj, registry[kind].representation())
+    detector = register(CommutativityRaceDetector(root=trace.root),
+                        expected, Strategy.SCAN)
     detector.run(trace)
-    assert [race_snapshot(race) for race in detector.races] \
-        == expected["races"]
+    assert_matches(detector.races, expected, Strategy.SCAN)
 
 
-@pytest.mark.parametrize("compiled", [False, True],
-                         ids=["dispatch", "compiled"])
+@LOOPS
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_sharded_compiled_axis_matches_snapshot(name, compiled):
+    # The per-object strategy travels in the shard payload, next to the
+    # plan compiled once in the facade.
     trace, expected = load_case(name)
-    registry = bundled_objects()
-    detector = ShardedDetector(root=trace.root, workers=2, compiled=compiled)
-    for obj, kind in expected["bindings"].items():
-        detector.register_object(obj, registry[kind].representation())
+    strategy = loop_strategy(compiled)
+    detector = register(ShardedDetector(root=trace.root, workers=2),
+                        expected, strategy)
     detector.run(trace)
+    assert_matches(detector.races, expected, strategy)
+
+
+@LOOPS
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_plain_clock_axis_matches_snapshot(name, compiled):
+    trace, expected = load_case(name)
+    strategy = loop_strategy(compiled)
+    detector = register(CommutativityRaceDetector(root=trace.root),
+                        expected, strategy)
+    run_with_plain_clocks(detector, trace)
+    assert_matches(detector.races, expected, strategy)
+
+
+@pytest.mark.parametrize("clocks", ["plain", "epochs"])
+@pytest.mark.parametrize("cadence", [1, 3, 64])
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_batch_axis_matches_snapshot(name, cadence, clocks):
+    trace, expected = load_case(name)
+    detector = register(CommutativityRaceDetector(root=trace.root),
+                        expected)
+    for index, event in enumerate(trace, 1):
+        detector.process(event)
+        if index % cadence == 0:
+            if clocks == "plain":
+                inflate_point_clocks(detector)
+            else:
+                detector.deflate_point_clocks()
     assert [race_snapshot(race) for race in detector.races] \
         == expected["races"]
 
 
-# -- streaming axes (PR 5): same frozen snapshots, never regenerated ---------
+# -- streaming and pruning axes: same frozen snapshots, never regenerated ---
 
 @pytest.mark.parametrize("prune_interval", [0, 1, 3],
                          ids=["noprune", "prune1", "prune3"])
@@ -122,8 +183,8 @@ def test_streaming_axis_matches_snapshot(name, prune_interval):
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_compact_clocks_axis_matches_snapshot_verdicts(name):
-    # Dead-component compaction narrows reported clocks (like adaptive),
-    # so the equivalence is on verdict keys.
+    # Dead-component compaction narrows reported clocks, so the
+    # equivalence is on verdict keys.
     from repro.core.stream import StreamAnalyzer
     trace, expected = load_case(name)
     registry = bundled_objects()
@@ -137,54 +198,12 @@ def test_compact_clocks_axis_matches_snapshot_verdicts(name):
         for race in expected["races"])
 
 
-@pytest.mark.parametrize("compiled", [False, True],
-                         ids=["dispatch", "compiled"])
-@pytest.mark.parametrize("name", GOLDEN_NAMES)
-def test_plain_clock_axis_matches_snapshot(name, compiled):
-    # adaptive=True is the default (and covered byte-for-byte by every
-    # test above); this pins the opt-out full-vector-clock path against
-    # the same frozen snapshots.
-    trace, expected = load_case(name)
-    registry = bundled_objects()
-    detector = CommutativityRaceDetector(root=trace.root, adaptive=False,
-                                         compiled=compiled)
-    for obj, kind in expected["bindings"].items():
-        detector.register_object(obj, registry[kind].representation())
-    detector.run(trace)
-    assert [race_snapshot(race) for race in detector.races] \
-        == expected["races"]
-
-
-# -- epoch + batch axes (PR 7): same frozen snapshots, never regenerated -----
-#
-# Clock-carrying epochs report the exact accumulated clock, so adaptive
-# mode is pinned byte-identically (the PR 5 verdict-key fallback above
-# became the plain-clock opt-out test).  Batching replays the same loop
-# window-at-a-time and must be invisible at every window size.
-
-@pytest.mark.parametrize("adaptive", [False, True], ids=["plain", "epochs"])
-@pytest.mark.parametrize("batch_window", [1, 3, 64])
-@pytest.mark.parametrize("name", GOLDEN_NAMES)
-def test_batch_axis_matches_snapshot(name, batch_window, adaptive):
-    trace, expected = load_case(name)
-    registry = bundled_objects()
-    detector = CommutativityRaceDetector(root=trace.root, adaptive=adaptive,
-                                         batch_window=batch_window)
-    for obj, kind in expected["bindings"].items():
-        detector.register_object(obj, registry[kind].representation())
-    detector.run(trace)
-    assert [race_snapshot(race) for race in detector.races] \
-        == expected["races"]
-
-
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_sharded_epoch_batch_axis_matches_snapshot(name):
+    # Shard workers apply phase A's prune snapshots between their actions.
     trace, expected = load_case(name)
-    registry = bundled_objects()
-    detector = ShardedDetector(root=trace.root, workers=2, adaptive=True,
-                               batch_window=4)
-    for obj, kind in expected["bindings"].items():
-        detector.register_object(obj, registry[kind].representation())
+    detector = register(ShardedDetector(root=trace.root, workers=2,
+                                        prune_interval=2), expected)
     detector.run(trace)
     assert [race_snapshot(race) for race in detector.races] \
         == expected["races"]
@@ -192,15 +211,11 @@ def test_sharded_epoch_batch_axis_matches_snapshot(name):
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_streaming_epoch_batch_axis_matches_snapshot(name):
-    # The full PR 7 stack — epochs, batching, pruning, deflation windows —
-    # against the frozen corpus, byte for byte.
+    # Epochs, pruning and a deflation window every three events.
     from repro.core.stream import StreamAnalyzer
     trace, expected = load_case(name)
-    registry = bundled_objects()
-    analyzer = StreamAnalyzer(root=trace.root, adaptive=True, window=3,
-                              prune_interval=2, batch_window=2)
-    for obj, kind in expected["bindings"].items():
-        analyzer.register_object(obj, registry[kind].representation())
+    analyzer = register(StreamAnalyzer(root=trace.root, window=3,
+                                       prune_interval=2), expected)
     analyzer.run(trace)
     assert [race_snapshot(race) for race in analyzer.races] \
         == expected["races"]

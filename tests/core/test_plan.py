@@ -4,8 +4,8 @@ The plan is a flattening of a bounded :class:`SchemaRepresentation` — no
 new semantics — so every test here is an identity against the
 representation it was compiled from: same schemas, same value flags, same
 candidate enumeration order, same validation errors.  The verdict-level
-equivalence of the compiled detector loop lives in
-``test_equivalence_matrix.py`` and the golden corpus.
+checks of the ENUMERATE loop live in ``test_equivalence_matrix.py`` and
+the golden corpus.
 """
 
 import pickle
@@ -15,7 +15,7 @@ import pytest
 from repro.core.access_points import (AccessPoint, AccessPointRepresentation,
                                       SchemaRepresentation)
 from repro.core.detector import CommutativityRaceDetector, Strategy
-from repro.core.errors import SpecificationError
+from repro.core.errors import MonitorError, SpecificationError
 from repro.core.events import NIL, Action
 from repro.core.plan import CheckPlan, compile_check_plan
 from repro.core.trace import TraceBuilder
@@ -106,16 +106,20 @@ class TestPlanAttachment:
         assert detector._objects["a"].plan is not None
         assert detector._objects["b"].plan is None
 
-        off = CommutativityRaceDetector(root=0, compiled=False)
-        off.register_object("a", rep)
-        assert off._objects["a"].plan is None
+        # AUTO resolves to ENUMERATE exactly when the representation
+        # compiles; an explicit ENUMERATE without a plan is refused.
+        detector.register_object("c", _Opaque())
+        assert detector._objects["c"].strategy is Strategy.SCAN
+        with pytest.raises(MonitorError):
+            detector.register_object("d", _Opaque(),
+                                     strategy=Strategy.ENUMERATE)
 
     def test_precompiled_plan_is_injected_verbatim(self):
         # The sharded facade compiles once and passes the plan through
         # register_object(plan=...) inside each worker.
         rep = dictionary_representation()
         plan = compile_check_plan(rep)
-        detector = CommutativityRaceDetector(root=0, compiled=False)
+        detector = CommutativityRaceDetector(root=0)
         detector.register_object("a", rep, plan=plan)
         assert detector._objects["a"].plan is plan
 
@@ -152,16 +156,14 @@ class TestInterning:
             builder.fork(0, 1)
             builder.invoke(1, "o", method, returns=None)
             trace = builder.build()
-            messages = []
-            for compiled in (True, False):
-                detector = CommutativityRaceDetector(root=0,
-                                                     compiled=compiled)
-                detector.register_object("o", toy_representation())
-                with pytest.raises(SpecificationError) as err:
-                    detector.run(trace)
-                messages.append(str(err.value))
-            assert messages[0] == messages[1]
-        assert rep.bounded  # sanity: both paths took the ENUMERATE route
+            detector = CommutativityRaceDetector(root=0)
+            detector.register_object("o", toy_representation())
+            with pytest.raises(SpecificationError) as compiled:
+                detector.run(trace)
+            with pytest.raises(SpecificationError) as generic:
+                rep.points_of(trace.actions()[0].action)
+            assert str(compiled.value) == str(generic.value)
+        assert rep.bounded  # sanity: the detector took the ENUMERATE route
 
     def test_invalid_pairs_raise_on_every_action(self):
         # Validation moved to the intern miss path; an invalid pair must

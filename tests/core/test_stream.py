@@ -247,8 +247,8 @@ class TestStreamAnalyzer:
                                compact_clocks=True),
                 bindings)
             compacting.run(trace)
-            # Compaction narrows reported clocks (like --adaptive), so
-            # equivalence is on verdict keys, not clock bytes.
+            # Compaction narrows reported clocks, so equivalence is on
+            # verdict keys, not clock bytes.
             assert (verdict_keys(compacting.races)
                     == verdict_keys(batch.races)), f"seed {seed}"
 

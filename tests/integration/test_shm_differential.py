@@ -6,7 +6,7 @@ under **both** start methods explicitly, in one process, because the two
 fail differently: fork shares the resource-tracker (double-unlink bugs),
 spawn re-imports everything (pickling bugs in the init payload, ring
 re-attachment by name).  Plus the seeded fleets the issue asks for:
-byte-identical reports across composition knobs, fault-free supervision,
+byte-identical reports with pruning composed in, fault-free supervision,
 and the IPC observability counters the backend promises.
 """
 
@@ -36,9 +36,7 @@ START_METHODS = [
 
 
 def reference_snapshots(trace, bindings):
-    detector = register_bindings(
-        CommutativityRaceDetector(root=0, compiled=False, adaptive=False),
-        bindings)
+    detector = register_bindings(CommutativityRaceDetector(root=0), bindings)
     detector.run(trace)
     return [race_snapshot(race) for race in detector.races]
 
@@ -72,8 +70,7 @@ class TestShmDifferential:
             program = random_multi_object_program(seed, max_ops=60)
             trace, bindings = build_multi_object_trace(program)
             want = reference_snapshots(trace, bindings)
-            det = run_shm(trace, bindings, mp_context, adaptive=True,
-                          prune_interval=7, batch_window=16)
+            det = run_shm(trace, bindings, mp_context, prune_interval=7)
             assert [race_snapshot(r) for r in det.races] == want, seed
 
     def test_tiny_rings_block_but_never_corrupt(self, mp_context):

@@ -1,6 +1,10 @@
 """The ECL → access point translation (Section 6.2), on the paper's
 worked dictionary example (Appendix A.2)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.errors import TranslationError
@@ -133,3 +137,29 @@ class TestTranslatedEta:
         text = rep.describe()
         assert "representation of dictionary" in text
         assert "⨯" in text
+
+
+class TestDeclarationOrder:
+    """Conflict declaration order is the ``Co(pt)`` enumeration order, and
+    hence the order races are reported in within an event; it must not
+    depend on the interpreter's hash values."""
+
+    SCRIPT = (
+        "from repro.specs import bundled_objects\n"
+        "rep = bundled_objects()['queue'].representation()\n"
+        "for schema in sorted(rep.schemas, key=str):\n"
+        "    print(schema, '->', ' | '.join(map(str, "
+        "rep.conflict_peers(schema))))\n")
+
+    def test_conflict_peers_order_is_the_same_in_fresh_interpreters(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.dirname(os.path.abspath(__file__)))), "src")
+        outputs = set()
+        for hash_seed in ("0", "1", "2", "3"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+            result = subprocess.run([sys.executable, "-c", self.SCRIPT],
+                                    capture_output=True, text=True, env=env,
+                                    check=True)
+            assert "->" in result.stdout
+            outputs.add(result.stdout)
+        assert len(outputs) == 1, outputs

@@ -13,7 +13,9 @@ from typing import Dict, List, Tuple
 
 from hypothesis import strategies as st
 
-from repro.core.events import Action
+from repro.core.direct import DirectDetector
+from repro.core.events import Action, EventKind
+from repro.core.plan import _as_clock
 from repro.core.trace import Trace, TraceBuilder
 from repro.specs import BundledObject, bundled_objects
 
@@ -262,12 +264,63 @@ def register_bindings(detector, bindings, registry=None, **register_kw):
     return detector
 
 
+# -- references: the literal detector and full vector clocks -----------------------
+
+
+def flagged_events(races, events) -> List[int]:
+    """Trace positions of the actions that ``races`` flag, sorted.
+
+    A race names its action by ``(current_tid, current_clock[current_tid])``:
+    every action advances its thread's own component, so the pair is
+    unique per action of a stamped trace.
+    """
+    index_of = {}
+    for position, event in enumerate(events):
+        if event.kind is EventKind.ACTION:
+            index_of[(event.tid, event.clock[event.tid])] = position
+    return sorted({index_of[(race.current_tid,
+                             race.current_clock[race.current_tid])]
+                   for race in races})
+
+
+def direct_flagged(trace, bindings, registry=None) -> List[int]:
+    """Positions of the actions the literal DirectDetector (Section 5.1)
+    flags on ``trace`` — the reference every engine is anchored to."""
+    registry = registry or bundled_objects()
+    detector = DirectDetector(root=trace.root)
+    for name, kind in bindings.items():
+        detector.register_object(name, registry[kind].spec().commutes)
+    detector.run(trace)
+    return flagged_events(detector.races, list(trace))
+
+
+def inflate_point_clocks(detector) -> None:
+    """Replace every epoch point clock with the bare vector clock it carries.
+
+    A detector inflated after every event stores exactly what a
+    full-vector-clock detector stores (the join ``pt.vc ⊔ vc(e)``) and
+    decides every phase-1 test with a full ``⊑``, so its reports are the
+    reference the epoch representation must reproduce byte for byte.
+    """
+    for state in detector._objects.values():
+        point_clock = state.point_clock
+        for pt, prior in point_clock.items():
+            point_clock[pt] = _as_clock(prior)
+
+
+def run_with_plain_clocks(detector, events):
+    """Run ``events`` through ``detector``, inflating after each event."""
+    for event in events:
+        detector.process(event)
+        inflate_point_clocks(detector)
+    return detector
+
+
 def race_snapshot(race) -> dict:
     """A stable, JSON-able rendering of a CommutativityRace report.
 
     Used both by the golden-trace corpus (snapshots on disk) and by
-    equivalence tests that compare verdicts across detector configurations
-    where report *order* may legitimately differ.
+    equivalence tests that compare reports across engines.
     """
     def clock_items(clock):
         return [[str(tid), stamp] for tid, stamp in
@@ -287,10 +340,9 @@ def race_snapshot(race) -> dict:
 def verdict_keys(races) -> List[Tuple]:
     """Order- and clock-insensitive race identity (sorted).
 
-    The adaptive detector reports a *narrower* prior clock (the epoch) for
-    single-thread histories, so cross-configuration equivalence is stated
-    on (object, action, point pair) identity — exactly the detector
-    docstring's verdict-preservation promise.
+    Clock compaction narrows reported clocks and the SCAN strategy
+    reorders reports within an event, so equivalence across those is
+    stated on (object, action, point pair) identity.
     """
     return sorted((str(r.obj), str(r.current), str(r.point),
                    str(r.prior_point)) for r in races)
