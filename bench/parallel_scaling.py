@@ -18,22 +18,22 @@ the paper-style scaling (>=1.8x at 4 workers is typical, since phase B
 dominates at realistic object counts).
 
 ``--smoke`` runs a scaled-down sweep plus the CI smoke job's gates (each
-fails the run with exit 1 on a breach): two 5%-overhead-budget gates —
-the *observability overhead gate* (detector timed with metrics disabled
-vs. the sampled registry enabled) and the *supervisor overhead gate*
-(the sharded pool timed with shard supervision on vs. the bare
-``pool.map`` baseline, on the fault-free path) — plus the *hot-path
-gate*: copy-on-write stamping must be >=1.5x the copying freeze on the
-Phase-A microbench.  End-to-end detector speed is measured by the
+fails the run with exit 1 on a breach): the *observability overhead
+gate* (detector timed with metrics disabled vs. the sampled registry
+enabled, 5% budget), the *hot-path gate* (copy-on-write stamping must be
+>=1.5x the copying freeze on the Phase-A microbench) and the backend
+fan-out gate below.  End-to-end detector speed is measured by the
 layered benchmark (``perfbench/``, declared in ``BENCHMARK.json``).
 
 ``--hotpath`` runs the stamping leg on its own and writes the
 machine-readable results to ``BENCH_PR4.json`` (see ``--hotpath-json``).
-It then runs the PR 9 *backend fan-out leg*: the shm execution backend
-vs. the pickle pool, end to end at 8 workers on a wide-clock butterfly
-workload, gated at >=2.0x and recorded in ``BENCH_PR9.json`` (see
-``--backend-json``).  ``--ipc`` prints the same workload's transport
-story — bytes on the wire and serialization seconds per backend.
+It then runs the *backend fan-out leg*: the shm transport vs. the pickle
+pool, end to end at 8 workers on a wide-clock butterfly workload, gated
+at >=2.0x and recorded in ``BENCH_PR9.json`` (see
+``--backend-json``) — the measurement behind shm being the transport
+wherever the host has shared memory.  ``--ipc`` prints the same
+workload's transport story — bytes on the wire and serialization seconds
+per transport.
 
 Run:  PYTHONPATH=src python bench/parallel_scaling.py [--events N]
           [--objects K] [--threads T] [--workers 1,2,4]
@@ -152,44 +152,6 @@ def overhead_gate(trace, objects: int, repeats: int = 12,
     verdict = "PASS" if overhead <= threshold else "FAIL"
     print(f"\nobservability overhead gate: disabled {best_off:.3f}s, "
           f"enabled {best_on:.3f}s -> {overhead:+.1%} "
-          f"(budget {threshold:.0%}) [{verdict}]")
-    return overhead <= threshold
-
-
-def supervisor_overhead_gate(trace, objects: int, workers: int = 2,
-                             repeats: int = 5,
-                             threshold: float = 0.05) -> bool:
-    """Time the sharded pool with supervision on vs. off; gate at 5%.
-
-    Supervision replaces one ``pool.map`` with per-job ``apply_async`` +
-    timed ``get``; on the fault-free path that must be noise, not a tax.
-    Pool startup dominates these runs (and is identical in both modes), so
-    fewer repeats suffice than for the in-process observability gate; the
-    same warmup / alternate / best-of-N / re-measure discipline applies.
-    """
-    def run_once(supervise):
-        detector = register_all(
-            ShardedDetector(root=0, workers=workers, keep_reports=False,
-                            supervise=supervise),
-            objects)
-        return timed_run(detector, trace)
-
-    def measure(rounds):
-        run_once(False), run_once(True)             # warmup, discarded
-        bare, supervised = [], []
-        for _ in range(rounds):
-            bare.append(run_once(False))
-            supervised.append(run_once(True))
-        return min(supervised) / min(bare) - 1.0, min(bare), min(supervised)
-
-    overhead, best_bare, best_sup = measure(repeats)
-    if overhead > threshold:
-        print(f"\nsupervisor overhead gate: {overhead:+.1%} over a "
-              f"{threshold:.0%} budget on the first attempt; re-measuring")
-        overhead, best_bare, best_sup = measure(2 * repeats)
-    verdict = "PASS" if overhead <= threshold else "FAIL"
-    print(f"\nsupervisor overhead gate ({workers} workers): bare pool.map "
-          f"{best_bare:.3f}s, supervised {best_sup:.3f}s -> {overhead:+.1%} "
           f"(budget {threshold:.0%}) [{verdict}]")
     return overhead <= threshold
 
@@ -878,7 +840,6 @@ def main(argv=None) -> int:
         # The observability gate times the default detector, so its
         # ENUMERATE loop is held to the 5% obs budget.
         ok = overhead_gate(trace, args.objects)
-        ok = supervisor_overhead_gate(trace, args.objects) and ok
         ok = hotpath_gate(args.events, args.threads, seed=args.seed,
                           repeats=3, json_path=args.hotpath_json) and ok
         ok = backend_gate(seed=args.seed, repeats=1,

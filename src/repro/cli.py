@@ -186,7 +186,6 @@ def _analyze_commutativity(trace, bindings, detector_kind: str,
                            supervisor=None, checkpoint=None,
                            resume_from: Optional[str] = None,
                            prune_interval: int = 0,
-                           backend: str = "pickle",
                            predict_window: int = 0,
                            ) -> Tuple[int, Optional[Dict[str, Any]],
                                       Optional[List[Any]]]:
@@ -203,11 +202,10 @@ def _analyze_commutativity(trace, bindings, detector_kind: str,
                                    obs=obs, supervisor=supervisor,
                                    checkpoint=checkpoint,
                                    resume_from=resume_from,
-                                   backend=backend,
                                    predict_window=predict_window)
         if detector.backend.reason is not None:
-            print(f"backend: {detector.backend.requested} -> "
-                  f"{detector.backend.describe()}", file=sys.stderr)
+            print(f"backend: {detector.backend.describe()}",
+                  file=sys.stderr)
     elif detector_kind == "rd2":
         from .core.detector import CommutativityRaceDetector
         detector = CommutativityRaceDetector(root=trace.root,
@@ -410,17 +408,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="which analysis to run (default rd2)")
     parser.add_argument("--workers", default="1", metavar="N",
                         help="fan the rd2 per-object race checks out to N "
-                             "worker processes (two-phase sharded pipeline; "
-                             "default 1 = sequential)")
-    parser.add_argument("--backend", default="pickle",
-                        choices=["auto", "pickle", "shm", "thread",
-                                 "subinterp"],
-                        help="shard fan-out transport for --workers > 1: "
-                             "pickle pool (default), shared-memory record "
-                             "rings (shm), in-process threads, "
-                             "subinterpreters, or auto; a request the "
-                             "runtime cannot honor falls back with a "
-                             "reason logged to stderr")
+                             "worker processes (two-phase sharded pipeline, "
+                             "fed through shared-memory rings where the "
+                             "host has them, else a pickle pool; default "
+                             "1 = sequential)")
     parser.add_argument("--shard-timeout", default=None, metavar="SECONDS",
                         help="per-shard supervision timeout for --workers "
                              "runs (default 120)")
@@ -523,12 +514,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     prune_interval = _parse_prune_interval(args)
     if prune_interval and (args.detector != "rd2" or args.atomicity):
         _fail("--prune-interval applies only to the rd2 detector", EXIT_USAGE)
-    if args.backend != "pickle":
-        if args.detector != "rd2" or args.atomicity:
-            _fail("--backend applies only to the rd2 detector", EXIT_USAGE)
-        if workers <= 1:
-            _fail("--backend selects the shard fan-out transport; it "
-                  "requires --workers > 1", EXIT_USAGE)
     if prune_interval and (checkpoint is not None or args.resume_from):
         # Phase-A prune-boundary snapshots are not part of the checkpoint
         # format; a resumed run would skip worker-side pruning and diverge
@@ -597,14 +582,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     trace, bindings, args.detector, workers=workers, obs=obs,
                     supervisor=supervisor, checkpoint=checkpoint,
                     resume_from=args.resume_from,
-                    prune_interval=prune_interval, backend=args.backend,
+                    prune_interval=prune_interval,
                     predict_window=predict_window)
             else:
                 code, faults = _analyze_memory(trace, args.detector, obs=obs)
     except KeyboardInterrupt:
-        # The supervisor already tore its pool down on the way out (no
-        # orphan workers); the span stream is closed by the finally, so
-        # partial --spans output stays valid JSONL.
+        # The transport already tore its worker processes and rings down
+        # on the way out (no orphans); the span stream is closed by the
+        # finally, so partial --spans output stays valid JSONL.
         print("repro-analyze: interrupted", file=sys.stderr)
         return EXIT_INTERRUPT
     finally:

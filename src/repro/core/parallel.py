@@ -23,7 +23,8 @@ Phase B (parallel)
     shard replays its objects' stamped actions through an ordinary
     :class:`~repro.core.detector.CommutativityRaceDetector` via
     :meth:`~repro.core.detector.CommutativityRaceDetector.process_stamped`
-    in a ``multiprocessing`` pool.  Race reports come back tagged with
+    in worker processes (see :mod:`repro.core.backend` for how the stamped
+    actions get there).  Race reports come back tagged with
     their trace index and are merged in stable event-index order; shard
     stats merge via :meth:`~repro.core.detector.DetectorStats.absorb`.
 
@@ -53,8 +54,7 @@ import time
 from time import perf_counter_ns
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .backend import (BackendChoice, resolve_backend,
-                      run_pickled_in_subinterpreter)
+from .backend import BackendChoice, resolve_backend
 from .checkpoint import (CHECKPOINT_VERSION, Checkpoint, CheckpointConfig,
                          CheckpointWriter, event_fingerprint, load_checkpoint)
 from .detector import (CommutativityRaceDetector, DetectorStats, Strategy,
@@ -256,34 +256,43 @@ def _diagnose_unpicklable(payload: _ShardPayload,
     return None
 
 
-# -- shared-memory / thread / subinterpreter backends -------------------------
+# -- the shared-memory transport ----------------------------------------------
 
-def _shm_worker_main(ring_name: str, init_blob: bytes, conn) -> None:
-    """Process target for the shm backend: decode-from-ring and replay.
+def _shm_shard_job(index: int, payload: Tuple[str, bytes], attempt: int):
+    """Shm child's shard job: decode the ring and replay the actions.
 
-    The init blob carries everything *except* the stamped actions — the
-    report and obs settings, prune snapshots and per-object registrations,
-    pickled once per worker.  Actions stream in through the shard's record ring
-    and are replayed as they arrive (pipelined with phase-A encoding).
+    ``payload`` is ``(ring name, init blob)``.  The init blob carries
+    everything *except* the stamped actions — the report and obs settings,
+    prune snapshots and per-object registrations, pickled once per shard.
+    Actions stream in through the shard's record ring and are replayed as
+    they arrive (pipelined with phase-A encoding).  The contract is
+    :func:`_shard_job`'s, so the supervisor's fault plan wraps both alike.
+    """
+    ring_name, init_blob = payload
+    need_reports, obs_interval, prune_snaps, registrations = (
+        pickle.loads(init_blob))
+    ring = RecordRing.attach(ring_name)
+    try:
+        detector, obs = _build_shard_detector(obs_interval, registrations)
+        objs = [entry[0] for entry in registrations]
+        triples = _replay_stamped(
+            detector, obs, need_reports, prune_snaps,
+            ((objs[position], actions)
+             for position, actions in StampedDecoder(ring).streams()))
+        return triples, detector.stats, obs
+    finally:
+        ring.close()
+
+
+def _shm_worker_main(job: Callable, index: int, attempt: int,
+                     payload: Tuple[str, bytes], conn) -> None:
+    """Process target for the shm transport: run ``job``, report back.
+
     The result (or a classified failure) goes back over ``conn`` as
     ``("ok", result)`` / ``("error", kind, detail)``.
     """
     try:
-        need_reports, obs_interval, prune_snaps, registrations = (
-            pickle.loads(init_blob))
-        ring = RecordRing.attach(ring_name)
-        try:
-            detector, obs = _build_shard_detector(obs_interval,
-                                                  registrations)
-            objs = [entry[0] for entry in registrations]
-            decoder = StampedDecoder(ring)
-            triples = _replay_stamped(
-                detector, obs, need_reports, prune_snaps,
-                ((objs[position], actions)
-                 for position, actions in decoder.streams()))
-            result = (triples, detector.stats, obs)
-        finally:
-            ring.close()
+        result = job(index, payload, attempt)
         try:
             conn.send(("ok", result))
         except Exception as exc:
@@ -303,84 +312,62 @@ def _shm_worker_main(ring_name: str, init_blob: bytes, conn) -> None:
 
 
 class _ShmJob:
-    """Parent-side state for one in-flight shm shard."""
+    """Parent-side state for one in-flight shm shard attempt."""
 
     __slots__ = ("index", "attempt", "ring", "conn", "proc", "encoder",
                  "feeder", "fed", "failure")
 
-    def __init__(self, index, attempt, ring, conn, proc, encoder, feeder):
+    def __init__(self, index: int, attempt: int, ring: RecordRing):
         self.index = index
         self.attempt = attempt
         self.ring = ring
-        self.conn = conn
-        self.proc = proc
-        self.encoder = encoder
-        self.feeder = feeder
+        self.conn = None
+        self.proc = None
+        self.encoder = StampedEncoder(ring)
+        self.feeder = None
         self.fed = False
         self.failure = None
 
     def fail(self, kind: str, detail: str, retryable: bool) -> None:
         self.failure = (self.index, self.attempt, kind, detail, retryable)
 
-
-#: Subinterpreter shard script: rehydrate the payload from its temp file,
-#: run the ordinary shard worker, pickle the result back out.  Formatted
-#: by :func:`repro.core.backend.run_pickled_in_subinterpreter`.
-_SUBINTERP_RUN = """\
-import pickle, sys
-for _p in {sys_path!r}:
-    if _p not in sys.path:
-        sys.path.append(_p)
-from repro.core.parallel import _analyze_shard
-with open({payload!r}, "rb") as _f:
-    _payload = pickle.load(_f)
-_result = _analyze_shard(_payload)
-with open({result!r}, "wb") as _f:
-    pickle.dump(_result, _f, protocol=pickle.HIGHEST_PROTOCOL)
-"""
-
-
-def _futures_round(config: SupervisorConfig, task):
-    """Build a supervisor round runner over an in-process thread pool.
-
-    Shared by the ``thread`` backend (task = the supervised worker) and
-    the ``subinterp`` backend (task = run-payload-in-a-subinterpreter):
-    both execute shards from threads of this process, so pool-generation
-    management reduces to a ``ThreadPoolExecutor`` with the supervisor's
-    per-round deadline.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-    from concurrent.futures import TimeoutError as FuturesTimeout
-
-    def runner(payloads, jobs, results):
-        failures = []
-        pool = ThreadPoolExecutor(max_workers=len(jobs))
+    def collect(self, deadline: Optional[float],
+                shard_timeout: Optional[float], results) -> None:
+        """Store the fed shard's result, or record why there is none."""
+        remaining = (max(0.0, deadline - time.monotonic())
+                     if deadline is not None else None)
         try:
-            handles = [(index, attempt,
-                        pool.submit(task, index, payloads[index], attempt))
-                       for index, attempt in jobs]
-            deadline = (time.monotonic() + config.shard_timeout
-                        if config.shard_timeout is not None else None)
-            for index, attempt, handle in handles:
-                try:
-                    remaining = (None if deadline is None
-                                 else max(0.0, deadline - time.monotonic()))
-                    results[index] = handle.result(remaining)
-                except FuturesTimeout:
-                    failures.append((
-                        index, attempt, "timeout",
-                        f"no result within {config.shard_timeout:g}s",
-                        True))
-                except Exception as exc:
-                    failures.append((index, attempt, "worker-raised",
-                                     f"{type(exc).__name__}: {exc}", True))
-        finally:
-            # Abandon (don't join) anything still running: a hung shard
-            # thread must not hang the supervisor's round loop.
-            pool.shutdown(wait=False, cancel_futures=True)
-        return failures
+            msg = self.conn.recv() if self.conn.poll(remaining) else None
+        except (EOFError, OSError):
+            # The pipe closed unanswered: the child is gone.
+            self.proc.join()
+            self.fail("worker-raised",
+                      f"shard worker died (exitcode {self.proc.exitcode})",
+                      True)
+            return
+        if msg is None:
+            self.fail("timeout",
+                      f"no result within {shard_timeout:g}s (hung worker)",
+                      True)
+        elif msg[0] == "ok" and self.fed:
+            results[self.index] = msg[1]
+        elif msg[0] == "ok":
+            self.fail("worker-raised",
+                      "worker returned before consuming its stream", True)
+        else:
+            _, kind, detail = msg
+            self.fail(kind, detail, kind != "result-unpicklable")
 
-    return runner
+    def close(self) -> None:
+        """Stop the child if it still runs; release the pipe and ring."""
+        if self.proc is not None:
+            if self.proc.is_alive():
+                self.proc.terminate()
+            self.proc.join()
+        if self.conn is not None:
+            self.conn.close()
+        self.ring.close()
+        self.ring.unlink()
 
 
 class ShardedDetector:
@@ -415,13 +402,11 @@ class ShardedDetector:
         per-shard ``shard`` replay span) that is shipped back with the
         shard's stats and absorbed here, alongside the existing
         ``DetectorStats.absorb`` merge.
-    supervise / supervisor:
-        With ``supervise`` (the default) phase B runs under a
-        :class:`~repro.core.supervise.ShardSupervisor` — per-shard
-        timeout, bounded retry, in-process fallback — configured by the
-        optional ``supervisor`` :class:`SupervisorConfig`.
-        ``supervise=False`` restores the bare ``pool.map`` (the overhead
-        gate in ``bench/parallel_scaling.py`` compares the two).
+    supervisor:
+        Optional :class:`SupervisorConfig` for the
+        :class:`~repro.core.supervise.ShardSupervisor` that runs phase B
+        on either transport — per-shard timeout, bounded retry,
+        in-process fallback.
     checkpoint:
         Optional :class:`~repro.core.checkpoint.CheckpointConfig`; phase A
         then snapshots its state every ``interval`` events so a killed run
@@ -441,21 +426,16 @@ class ShardedDetector:
         Not combinable with ``checkpoint``/``resume_from`` (the boundary
         snapshots are not checkpointed).
     backend:
-        Phase-B transport: ``"pickle"`` (the default; payloads pickled
-        into a process pool), ``"shm"`` (stamped actions streamed through
-        per-shard ``multiprocessing.shared_memory`` record rings — only
-        the per-worker registrations/knobs are pickled, once),
-        ``"thread"`` (in-process thread pool; a parallelism win only on
-        free-threaded interpreters), ``"subinterp"`` (one subinterpreter
-        per shard where the runtime supports it), or ``"auto"``.
-        Requests the runtime cannot honor fall back (shm → pickle,
-        subinterp → shm → pickle) — the outcome, with its reason, is in
+        Phase-B transport, normally left to the host (``None``):
+        ``"shm"`` (stamped actions streamed through per-shard
+        ``multiprocessing.shared_memory`` record rings — only the
+        per-worker registrations and settings are pickled, once) wherever
+        the host can create a segment, else ``"pickle"`` (whole shard
+        payloads pickled into a process pool).  Naming one pins it; a
+        pinned ``"shm"`` still falls back where the host has no shared
+        memory.  The outcome, with the reason for a fallback, is in
         :attr:`backend`, a :class:`~repro.core.backend.BackendChoice`.
-        All backends produce byte-identical merged reports.
-    ring_slots / ring_side_bytes:
-        shm backend ring geometry (records per ring / side-region bytes);
-        defaults suit typical shards.  A full ring blocks the producer
-        (and interleaves other shards' feeds), never drops records.
+        Both transports produce byte-identical merged reports.
     predict_window:
         When > 0, a predictive pass (:mod:`repro.core.predict`) runs
         after the merge: per-object candidate pairs fan out over the
@@ -477,14 +457,11 @@ class ShardedDetector:
         workers: Optional[int] = None,
         mp_context: Optional[str] = None,
         obs=None,
-        supervise: bool = True,
         supervisor: Optional[SupervisorConfig] = None,
         checkpoint: Optional[CheckpointConfig] = None,
         resume_from: Optional[str] = None,
         prune_interval: int = 0,
-        backend: str = "pickle",
-        ring_slots: Optional[int] = None,
-        ring_side_bytes: Optional[int] = None,
+        backend: Optional[str] = None,
         predict_window: int = 0,
     ):
         if predict_window < 0:
@@ -514,16 +491,13 @@ class ShardedDetector:
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
         self._mp_context = mp_context
-        self._supervise = supervise
         self._supervisor_config = supervisor
         self._checkpoint = checkpoint
         self._resume_from = resume_from
-        #: Resolved execution backend for phase B (request, selection,
-        #: fallback reason) — resolved eagerly so callers can log the
-        #: outcome before the first run.
+        #: Resolved phase-B transport (request, selection, fallback
+        #: reason) — resolved eagerly so callers can log the outcome
+        #: before the first run.
         self.backend: BackendChoice = resolve_backend(backend)
-        self._ring_slots = ring_slots or DEFAULT_RING_SLOTS
-        self._ring_side_bytes = ring_side_bytes or DEFAULT_SIDE_BYTES
         self._registrations: Dict[ObjectId, Tuple[Any, Strategy, Any]] = {}
         self._hb: Optional[HappensBeforeTracker] = None
         self.races: List[CommutativityRace] = []
@@ -543,11 +517,9 @@ class ShardedDetector:
         """Attach an access point representation to a shared object."""
         if obj in self._registrations:
             raise MonitorError(f"object {obj!r} registered twice")
-        # The thread backend never crosses a process boundary, so it is
-        # exempt from the picklability requirement; every other backend
-        # ships registrations to workers (shm ships them in the one-shot
-        # init blob, so the probe still guards it).
-        if self.workers > 1 and self.backend.selected != "thread":
+        # Both transports ship registrations to worker processes (shm in
+        # its one-shot init blob), so they must pickle.
+        if self.workers > 1:
             try:
                 pickle.dumps(representation)
             except Exception as exc:
@@ -774,49 +746,32 @@ class ShardedDetector:
             return []
         if self.workers <= 1 or len(payloads) == 1:
             return [_analyze_shard(payload) for payload in payloads]
-        selected = self.backend.selected
-        if selected == "pickle" and not self._supervise:
-            # Unsupervised baseline: the original bare pool.map.  Kept for
-            # the supervisor-overhead benchmark gate and as an escape
-            # hatch; any worker failure here takes the whole run down.
-            ctx = (multiprocessing.get_context(self._mp_context)
-                   if self._mp_context else multiprocessing.get_context())
-            with ctx.Pool(processes=len(payloads)) as pool:
-                return pool.map(_analyze_shard, payloads)
         config = self._supervisor_config or SupervisorConfig()
         supervisor = ShardSupervisor(
             _shard_job, processes=len(payloads), mp_context=self._mp_context,
             config=config, obs=self._obs, faults=self.faults,
             diagnose=lambda index, exc: _diagnose_unpicklable(
                 payloads[index], exc))
-        if selected == "pickle":
+        if self.backend.selected == "pickle":
             return supervisor.run(payloads)
-        # The alternative transports bring their own round executor but
-        # keep the supervisor's retry/backoff/fault-accounting loop and
-        # its inline fallback — degraded shards replay in-process with
-        # identical results under every backend.
-        if selected == "thread":
-            runner = _futures_round(config, supervisor.worker)
-        elif selected == "subinterp":
-            def subinterp_task(index, payload, attempt):
-                blob = supervisor.payload_blob(index, payload)
-                return pickle.loads(
-                    run_pickled_in_subinterpreter(blob, _SUBINTERP_RUN))
-            runner = _futures_round(config, subinterp_task)
-        else:
-            runner = self._shm_round(config)
-        return supervisor.run_rounds(payloads, runner)
+        # The shm transport brings its own worker processes but keeps the
+        # supervisor's retry/backoff/fault-accounting loop, its fault plan
+        # and its inline fallback.
+        return supervisor.run_rounds(
+            payloads, self._shm_round(config, supervisor.wrap(_shm_shard_job)))
 
-    def _shm_round(self, config: SupervisorConfig):
-        """Build the shm backend's supervisor round runner.
+    def _shm_round(self, config: SupervisorConfig, job: Callable):
+        """Build the shm transport's supervisor round runner.
 
-        Each job gets a private record ring and worker process; the
-        parent round-robins phase-A encoding across all rings (a full
-        ring yields the CPU to other shards, then to the consumer) and
-        collects results over a pipe.  Init payloads — registrations and
-        settings, no actions — are pickled once per shard and reused
-        verbatim on retry, mirroring the pool backend's serialize-once
-        behavior.
+        Each shard attempt gets a private record ring and a child process
+        running ``job`` (:func:`_shm_shard_job` under the run's fault
+        plan); the parent round-robins phase-A encoding across all rings
+        (a full ring yields the CPU to other shards, then to the
+        consumer) and collects results over a pipe.  A retry reuses the
+        shard's pickled init blob — registrations and settings, no
+        actions — but streams a fresh ring, re-encoding every action.  A
+        payload that cannot cross the boundary raises the pickle pool's
+        diagnosis, a :class:`MonitorError` naming the object.
         """
         ctx = (multiprocessing.get_context(self._mp_context)
                if self._mp_context else multiprocessing.get_context())
@@ -845,110 +800,82 @@ class ShardedDetector:
             failures = []
             states: List[_ShmJob] = []
             encode_ns = 0
+
+            def raise_undeliverable(index: int, exc: Exception):
+                # Deterministic, so never retried: raise what the pickle
+                # pool raises for the same payload.
+                diagnosed = _diagnose_unpicklable(payloads[index], exc)
+                if diagnosed is None:
+                    raise exc
+                raise diagnosed from exc
+
             try:
                 for index, attempt in jobs:
-                    ring = RecordRing.create(self._ring_slots,
-                                             self._ring_side_bytes)
-                    recv_conn, send_conn = ctx.Pipe(duplex=False)
+                    try:
+                        blob = init_blob(index, payloads[index])
+                    except Exception as exc:
+                        raise_undeliverable(index, exc)
+                    shard = _ShmJob(index, attempt, RecordRing.create(
+                        DEFAULT_RING_SLOTS, DEFAULT_SIDE_BYTES))
+                    states.append(shard)
+                    shard.conn, send_conn = ctx.Pipe(duplex=False)
                     proc = ctx.Process(
                         target=_shm_worker_main,
-                        args=(ring.name, init_blob(index, payloads[index]),
+                        args=(job, index, attempt, (shard.ring.name, blob),
                               send_conn),
                         daemon=True)
                     proc.start()
+                    shard.proc = proc
                     send_conn.close()
-                    encoder = StampedEncoder(ring)
-                    states.append(_ShmJob(
-                        index, attempt, ring, recv_conn, proc, encoder,
-                        feed_shard(encoder, payloads[index][3])))
+                    shard.feeder = feed_shard(shard.encoder,
+                                              payloads[index][3])
                 deadline = (time.monotonic() + config.shard_timeout
                             if config.shard_timeout is not None else None)
                 # Feed phase: interleave all shards' encodes; a blocked
                 # ring never busy-waits while another shard could progress.
-                active = [job for job in states]
+                active = list(states)
                 while active:
                     if deadline is not None and time.monotonic() > deadline:
-                        for job in active:
-                            job.fail("timeout",
-                                     f"ring not drained within "
-                                     f"{config.shard_timeout:g}s "
-                                     f"(stalled worker)", True)
+                        for shard in active:
+                            shard.fail("timeout",
+                                       f"ring not drained within "
+                                       f"{config.shard_timeout:g}s "
+                                       f"(stalled worker)", True)
                         break
                     progressed = False
-                    for job in list(active):
+                    for shard in list(active):
                         start = perf_counter_ns()
                         try:
-                            step = next(job.feeder)
+                            step = next(shard.feeder)
                         except StopIteration:
-                            encode_ns += perf_counter_ns() - start
-                            occupancy = job.ring.occupancy_bytes()
-                            if occupancy > hwm:
-                                hwm = occupancy
-                            job.fed = True
-                            active.remove(job)
-                            progressed = True
-                            continue
+                            shard.fed = step = True
+                        except Exception as exc:
+                            raise_undeliverable(shard.index, exc)
                         encode_ns += perf_counter_ns() - start
-                        occupancy = job.ring.occupancy_bytes()
-                        if occupancy > hwm:
-                            hwm = occupancy
+                        hwm = max(hwm, shard.ring.occupancy_bytes())
+                        if shard.fed:
+                            active.remove(shard)
                         if step:
                             progressed = True
-                        elif not job.proc.is_alive():
+                        elif not shard.proc.is_alive():
                             # Dead consumer: stop feeding; the collect
-                            # phase reads its (possibly classified) last
-                            # words off the pipe.
-                            active.remove(job)
+                            # phase reads its last words off the pipe.
+                            active.remove(shard)
                     if not progressed and active:
                         time.sleep(0.0005)
                 # Collect phase.
-                for job in states:
-                    if job.failure is not None:
-                        failures.append(job.failure)
-                        continue
-                    remaining = (max(0.0, deadline - time.monotonic())
-                                 if deadline is not None else None)
-                    msg = None
-                    try:
-                        if job.conn.poll(remaining):
-                            msg = job.conn.recv()
-                    except (EOFError, OSError):
-                        msg = None
-                    if msg is None:
-                        if job.proc.is_alive():
-                            job.fail("timeout",
-                                     f"no result within "
-                                     f"{config.shard_timeout:g}s "
-                                     f"(hung worker)", True)
-                        else:
-                            job.fail("worker-raised",
-                                     f"shard worker died "
-                                     f"(exitcode {job.proc.exitcode})", True)
-                    elif msg[0] == "ok" and job.fed:
-                        results[job.index] = msg[1]
-                    elif msg[0] == "ok":
-                        job.fail("worker-raised",
-                                 "worker returned before consuming its "
-                                 "stream", True)
-                    else:
-                        _, kind, detail = msg
-                        job.fail(kind, detail, kind != "result-unpicklable")
-                    if job.failure is not None:
-                        failures.append(job.failure)
+                for shard in states:
+                    if shard.failure is None:
+                        shard.collect(deadline, config.shard_timeout,
+                                      results)
+                    if shard.failure is not None:
+                        failures.append(shard.failure)
             finally:
-                for job in states:
-                    if job.proc.is_alive():
-                        job.proc.terminate()
-                    job.proc.join()
-                    try:
-                        job.conn.close()
-                    except Exception:
-                        pass
-                    job.ring.close()
-                    job.ring.unlink()
+                for shard in states:
+                    shard.close()
                 if obs is not None:
-                    obs.add("shm_bytes_written",
-                            sum(job.encoder.bytes_written for job in states))
+                    obs.add("shm_bytes_written", sum(
+                        shard.encoder.bytes_written for shard in states))
                     obs.timer("shm_encode").record(encode_ns)
                     obs.gauge("shm_ring_hwm", hwm)
             return failures

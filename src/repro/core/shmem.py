@@ -41,7 +41,6 @@ data strictly behind the head it read.
 
 from __future__ import annotations
 
-import pickle
 import struct
 import time
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -756,9 +755,3 @@ def feed_shard(encoder: StampedEncoder, objects, chunk: int = 128
             encoder.publish()
             yield False
     encoder.publish()
-
-
-def dumps_payload(payload: Any) -> bytes:
-    """The one pickle a shm worker still costs: its init payload (knobs,
-    registrations, plans, prune snapshots) — shipped once per worker."""
-    return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)

@@ -43,7 +43,8 @@ instead of retrying a deterministic failure.
 For deterministic robustness testing, the worker can be wrapped with a
 fault-injection plan (:attr:`SupervisorConfig.wrap`, or the
 ``REPRO_FAULT_PLAN`` environment variable consumed by
-:mod:`repro.testing.faults`).
+:mod:`repro.testing.faults`); :meth:`ShardSupervisor.wrap` applies the
+same plan to a transport's own child-side job.
 """
 
 from __future__ import annotations
@@ -254,7 +255,8 @@ class ShardSupervisor:
             # differential suite injects faults through the real CLI.
             from ..testing.faults import FaultPlan
             wrap = FaultPlan.from_env().wrap
-        self._worker = wrap(worker) if wrap is not None else worker
+        self._wrap = wrap
+        self._worker = self.wrap(worker)
         self._blobs: Dict[int, bytes] = {}
 
     # -- the supervision loop ----------------------------------------------
@@ -277,11 +279,11 @@ class ShardSupervisor:
                    round_runner: Callable) -> List[Any]:
         """Supervise an externally provided round executor.
 
-        The shared-memory / thread / subinterpreter backends bring their
-        own transport but want this class's retry, backoff, fault
-        accounting and inline-fallback semantics.  ``round_runner`` is
-        called as ``round_runner(payloads, jobs, results)`` with ``jobs``
-        a list of ``(index, attempt)`` pairs; it must fill ``results``
+        The shared-memory transport brings its own worker processes but
+        wants this class's retry, backoff, fault accounting and
+        inline-fallback semantics.  ``round_runner`` is called as
+        ``round_runner(payloads, jobs, results)`` with ``jobs`` a list of
+        ``(index, attempt)`` pairs; it must fill ``results``
         for the jobs it completed and return a list of
         ``(index, attempt, kind, detail, retryable)`` failures.  The
         inline fallback still runs ``self._worker`` directly.
@@ -321,10 +323,15 @@ class ShardSupervisor:
             results[index] = self._worker(index, payloads[index], attempt)
         return [results[index] for index in range(len(payloads))]
 
-    @property
-    def worker(self) -> Callable:
-        """The (possibly fault-wrapped) worker callable."""
-        return self._worker
+    def wrap(self, job: Callable) -> Callable:
+        """``job`` under this run's fault plan, if one is configured.
+
+        A transport whose children run their own ``job(index, payload,
+        attempt)`` instead of the supervised worker wraps it here, so one
+        plan, keyed by shard and attempt, reaches every transport's
+        children.
+        """
+        return self._wrap(job) if self._wrap is not None else job
 
     def payload_blob(self, index: int, payload: Any) -> bytes:
         """Serialize ``payload`` once; retries reuse the identical bytes."""

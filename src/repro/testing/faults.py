@@ -20,9 +20,10 @@ module provides those failure points:
 
 Determinism rules: a fault fires based only on ``(shard index, attempt
 number)``, both supplied by the supervisor, so a plan replays identically
-across runs and start methods.  Faults fire **only inside pool worker
-processes** (``multiprocessing.parent_process() is not None``): the
-supervisor's in-process fallback and the inline sharding path stay clean,
+across runs, start methods and transports.  Faults fire **only inside
+shard worker processes** — pool workers and shm children alike
+(``multiprocessing.parent_process() is not None``): the supervisor's
+in-process fallback and the inline sharding path stay clean,
 which is precisely the recovery behavior under test — and it keeps an
 over-scheduled ``exit`` fault from killing the test runner itself.
 """
@@ -55,10 +56,11 @@ KILL_ENV = "REPRO_CHECKPOINT_KILL_AFTER"
 class Unpicklable:
     """An object that refuses to cross a process boundary.
 
-    Returned by a ``bad-result`` fault: the pool worker computes it fine,
-    the result pipe cannot encode it, and the parent sees
-    ``MaybeEncodingError`` — the exact failure shape of a detector whose
-    race reports captured something unpicklable.
+    Returned by a ``bad-result`` fault: the worker computes it fine, the
+    result pipe cannot encode it, and the parent sees
+    ``MaybeEncodingError`` from a pool (a ``result-unpicklable`` report
+    from an shm child) — the exact failure shape of a detector whose race
+    reports captured something unpicklable.
     """
 
     def __reduce__(self):
@@ -183,10 +185,11 @@ class FaultPlan:
 class FaultyWorker:
     """A supervised worker wrapped with a :class:`FaultPlan`.
 
-    Picklable whenever the wrapped worker is (the shard worker is a
-    module-level function), so it ships to pool children under ``fork``
-    and ``spawn`` alike.  The attempt number comes from the supervisor, so
-    "fail twice then succeed" needs no cross-process shared state.
+    Picklable whenever the wrapped worker is (both transports' shard jobs
+    are module-level functions), so it ships to pool workers and shm
+    children under ``fork`` and ``spawn`` alike.  The attempt number comes
+    from the supervisor, so "fail twice then succeed" needs no
+    cross-process shared state.
     """
 
     def __init__(self, worker: Callable, plan: FaultPlan):

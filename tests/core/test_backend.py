@@ -1,40 +1,34 @@
-"""Backend selection: the resolution table and its fallback reasons.
+"""Transport selection: the host picks, and says why when it falls back.
 
-``resolve_backend`` must never fail hard — every request maps to a
-usable backend, and whenever the selection differs from the request the
+``resolve_backend`` must never fail hard on a host without shared
+memory — it falls back to the pickle pool, and the
 :class:`~repro.core.backend.BackendChoice` carries a human-readable
-reason (the CLI prints it; operators grep for it).  The probes are
-monkeypatched here so the whole table is testable on any host,
-including hosts where shared memory or subinterpreters genuinely work.
+reason (the CLI prints it; operators grep for it).  The probe is
+monkeypatched here so the whole table is testable on any host.
 """
 
 import pytest
 
 from repro.core import backend
 from repro.core.backend import BackendChoice, resolve_backend
+from repro.core.parallel import ShardedDetector
 
 
 @pytest.fixture
 def probes(monkeypatch):
-    """Control every runtime probe; returns a dict to flip per-test."""
-    state = {"shm": True, "free_threaded": False,
-             "subinterp": (True, "")}
+    """Control the shared-memory probe; returns a dict to flip per-test."""
+    state = {"shm": True}
     monkeypatch.setattr(backend, "shm_available", lambda: state["shm"])
-    monkeypatch.setattr(backend, "free_threaded",
-                        lambda: state["free_threaded"])
-    monkeypatch.setattr(backend, "subinterpreters_available",
-                        lambda: state["subinterp"])
     return state
 
 
 class TestResolutionTable:
-    def test_pickle_and_thread_always_honored(self, probes):
-        probes["shm"] = False
-        probes["subinterp"] = (False, "gone")
-        for name in ("pickle", "thread"):
-            choice = resolve_backend(name)
-            assert choice == BackendChoice(name, name)
-            assert choice.describe() == name
+    def test_pickle_always_honored(self, probes):
+        for shm in (True, False):
+            probes["shm"] = shm
+            choice = resolve_backend("pickle")
+            assert choice == BackendChoice("pickle", "pickle")
+            assert choice.describe() == "pickle"
 
     def test_shm_honored_when_available(self, probes):
         assert resolve_backend("shm") == BackendChoice("shm", "shm")
@@ -46,30 +40,23 @@ class TestResolutionTable:
         assert "unavailable" in choice.reason
         assert choice.reason in choice.describe()
 
-    def test_subinterp_chain(self, probes):
-        assert resolve_backend("subinterp").selected == "subinterp"
-        probes["subinterp"] = (False, "probe failed: boom")
-        choice = resolve_backend("subinterp")
-        assert choice.selected == "shm"
-        assert "boom" in choice.reason
+    def test_default_prefers_shm_then_pickle(self, probes):
+        assert resolve_backend() == BackendChoice(None, "shm")
         probes["shm"] = False
-        choice = resolve_backend("subinterp")
-        assert choice.selected == "pickle"
-        assert "boom" in choice.reason and "unavailable" in choice.reason
+        assert resolve_backend() == BackendChoice(
+            None, "pickle", "shared memory unavailable on this host")
 
-    def test_auto_prefers_free_threading_then_shm_then_pickle(self, probes):
-        probes["free_threaded"] = True
-        assert resolve_backend("auto").selected == "thread"
-        probes["free_threaded"] = False
-        choice = resolve_backend("auto")
-        assert choice.selected == "shm"
-        assert "GIL" in choice.reason
+    def test_the_detector_defaults_to_the_hosts_choice(self, probes):
+        assert ShardedDetector(workers=2).backend.selected == "shm"
         probes["shm"] = False
-        assert resolve_backend("auto").selected == "pickle"
+        choice = ShardedDetector(workers=2).backend
+        assert choice.selected == "pickle"
+        assert choice.reason == "shared memory unavailable on this host"
 
     def test_unknown_backend_is_a_value_error(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("carrier-pigeon")
+        for name in ("carrier-pigeon", "auto", "thread", "subinterp"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                resolve_backend(name)
 
 
 class TestProbes:
@@ -95,13 +82,12 @@ class TestProbes:
     def test_reset_hook_forgets_cached_probes(self):
         backend._reset_probe_cache()
         assert backend._SHM_PROBE is None
-        assert backend._SUBINTERP_PROBE is None
         backend.shm_available()
         assert backend._SHM_PROBE is not None
         backend._reset_probe_cache()
         assert backend._SHM_PROBE is None
 
     def test_choice_is_immutable(self):
-        choice = BackendChoice("auto", "shm", "why")
+        choice = BackendChoice(None, "pickle", "why")
         with pytest.raises(Exception):
-            choice.selected = "pickle"
+            choice.selected = "shm"

@@ -3,7 +3,7 @@
 Algorithm 1 exists once — an ENUMERATE loop over compiled plans and a SCAN
 loop for everything else — so what varies is the *engine* that drives it:
 the sequential detector, the sharded pipeline inline (``workers=1``) or
-over two workers on each execution backend the host offers, and the
+over two workers on each transport the host offers, and the
 streaming analyzer with maintenance windows and pruning.  On the 40-seed
 randomized multi-object corpus two checks anchor the matrix:
 
@@ -24,8 +24,7 @@ import os
 
 import pytest
 
-from repro.core.backend import (free_threaded, shm_available,
-                                subinterpreters_available)
+from repro.core.backend import shm_available
 from repro.core.detector import CommutativityRaceDetector, Strategy
 from repro.core.parallel import ShardedDetector
 from repro.core.stream import StreamAnalyzer
@@ -104,16 +103,11 @@ class TestEngineEquivalence:
                                       prune_interval=3)
 
 
-# Two-worker backend legs.  ``thread`` means true parallelism only on a
-# free-threaded (PEP 703) build and *skips* elsewhere rather than testing
-# a degenerate configuration; ``subinterp`` is its own class below.
+# Two-worker transport legs, each pinned by name.
 BACKEND_AXES = [
     "pickle",
     pytest.param("shm", marks=pytest.mark.skipif(
         not shm_available(), reason="no shared memory on this host")),
-    pytest.param("thread", marks=pytest.mark.skipif(
-        not free_threaded(),
-        reason="requires a free-threaded (PEP 703) interpreter")),
 ]
 
 
@@ -138,24 +132,6 @@ class TestBackendEquivalence:
                                  workers=2, backend=backend)
             assert other.races == pickled.races
             assert other.stats == pickled.stats
-
-
-class TestSubinterpreterAxis:
-    """Optional leg: per-shard subinterpreters where the runtime has a
-    usable implementation; skips (never fails) everywhere else.  Each run
-    pays a subinterpreter start-up of about a second, so this leg keeps a
-    four-seed sample of the corpus."""
-
-    pytestmark = pytest.mark.skipif(
-        not subinterpreters_available()[0],
-        reason=f"subinterpreters unusable "
-               f"({subinterpreters_available()[1] or 'no module'})")
-
-    def test_byte_identical_to_sequential_reference(self):
-        det = assert_matches_sequential(ShardedDetector,
-                                        seeds=(3, 17, 31, 39), workers=2,
-                                        backend="subinterp")
-        assert det.backend.selected == "subinterp", det.backend
 
 
 @pytest.mark.parametrize("factory", [CommutativityRaceDetector,

@@ -1,10 +1,13 @@
 """Unit tests for the two-phase sharded pipeline's moving parts."""
 
+import multiprocessing
 import pickle
+import threading
 
 import pytest
 
 from repro.core.access_points import NaiveRepresentation
+from repro.core.backend import shm_available
 from repro.core.detector import CommutativityRaceDetector, DetectorStats
 from repro.core.errors import MonitorError
 from repro.core.events import (NIL, Action, action_event,
@@ -13,6 +16,8 @@ from repro.core.parallel import ShardedDetector, partition_by_load
 from repro.core.trace import TraceBuilder
 from repro.core.vector_clock import MutableVectorClock, VectorClock
 from repro.specs.dictionary import dictionary_representation
+
+from tests.support import shm_entries
 
 
 class TestPartitionByLoad:
@@ -126,6 +131,33 @@ class TestShardedDetectorFacade:
         detector = ShardedDetector(workers=2)
         with pytest.raises(MonitorError, match="not picklable"):
             detector.register_object("o", rep)
+
+    @pytest.mark.parametrize("transport", [
+        "pickle",
+        pytest.param("shm", marks=pytest.mark.skipif(
+            not shm_available(), reason="no shared memory on this host")),
+    ])
+    def test_unshippable_action_values_rejected_alike(self, transport):
+        # A value that cannot cross the shard boundary fails the same way
+        # on both transports, and leaves no worker or segment behind.
+        lock = threading.Lock()
+        trace = (TraceBuilder(root=0)
+                 .fork(0, 1).fork(0, 2)
+                 .invoke(1, "a", "put", lock, 1, returns=NIL)
+                 .invoke(2, "a", "put", lock, 2, returns=1)
+                 .invoke(1, "b", "put", "k", 1, returns=NIL)
+                 .invoke(2, "b", "put", "k", 2, returns=1)
+                 .build())
+        detector = ShardedDetector(workers=2, backend=transport)
+        for obj in ("a", "b"):
+            detector.register_object(obj, dictionary_representation())
+        assert detector.backend.selected == transport
+        before = shm_entries()
+        with pytest.raises(MonitorError, match="object 'a': its stamped "
+                                               "actions cannot be pickled"):
+            detector.run(trace)
+        assert not multiprocessing.active_children()
+        assert shm_entries() <= before
 
     def test_unpicklable_representation_fine_inline(self):
         rep = NaiveRepresentation("opaque", lambda a, b: False)

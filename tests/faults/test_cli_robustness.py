@@ -3,7 +3,8 @@
 Every bad invocation must produce exactly one ``repro-analyze: error:``
 line on stderr and the documented exit code — never an argparse usage
 dump or a traceback — and Ctrl-C must exit 130 leaving valid partial
-observability output and no orphan pool workers.
+observability output, no orphan worker processes and no leaked
+shared-memory segments, on either shard transport.
 """
 
 import json
@@ -12,7 +13,10 @@ import multiprocessing
 import pytest
 
 from repro.cli import (EXIT_DATA, EXIT_INTERRUPT, EXIT_USAGE, main)
+from repro.core import backend, parallel
 from repro.core.supervise import ShardSupervisor
+
+from tests.support import shm_entries
 
 TRACE = "tests/data/multi_object_mixed.jsonl"
 OBJECTS = ["--object", "a=accumulator", "--object", "d=dictionary",
@@ -92,22 +96,45 @@ def test_help_documents_exit_codes(capsys):
         assert code in out
 
 
-def test_keyboard_interrupt_exits_130_with_valid_spans(monkeypatch,
-                                                       tmp_path, capsys):
-    """Ctrl-C during the fan-out: exit 130, pool torn down (no orphan
-    workers), and the partial --spans file is still line-valid JSONL."""
-    def interrupt(handle, deadline):
-        raise KeyboardInterrupt
+def interrupt(*args):
+    raise KeyboardInterrupt
 
-    monkeypatch.setattr(ShardSupervisor, "_await", staticmethod(interrupt))
+
+def interrupting_feed(encoder, objects):
+    raise KeyboardInterrupt
+    yield  # a generator, like feed_shard: it raises inside the feed loop
+
+
+def assert_interrupt_cleans_up(tmp_path, capsys):
+    """Ctrl-C during the fan-out: exit 130, workers and rings torn down
+    (no orphans), and the partial --spans file is still line-valid
+    JSONL."""
+    before = shm_entries()
     spans = tmp_path / "spans.jsonl"
     code = main([TRACE, *OBJECTS, "--workers", "2",
                  "--spans", str(spans)])
     assert code == EXIT_INTERRUPT
     assert "interrupted" in capsys.readouterr().err
     assert not multiprocessing.active_children()
+    assert shm_entries() <= before
     lines = spans.read_text().strip().splitlines()
     assert lines  # the load/stamp spans completed before the interrupt
     for line in lines:
         record = json.loads(line)  # every line parses: valid JSONL
         assert {"name", "dur_ns"} <= record.keys()
+
+
+def test_keyboard_interrupt_exits_130_with_valid_spans(monkeypatch,
+                                                       tmp_path, capsys):
+    # Interrupt the default transport, whichever the host picked: the shm
+    # rings in their feed loop, the pickle pool while awaiting a job.
+    monkeypatch.setattr(parallel, "feed_shard", interrupting_feed)
+    monkeypatch.setattr(ShardSupervisor, "_await", staticmethod(interrupt))
+    assert_interrupt_cleans_up(tmp_path, capsys)
+
+
+def test_keyboard_interrupt_tears_the_pickle_pool_down(monkeypatch,
+                                                       tmp_path, capsys):
+    monkeypatch.setattr(backend, "_SHM_PROBE", False)
+    monkeypatch.setattr(ShardSupervisor, "_await", staticmethod(interrupt))
+    assert_interrupt_cleans_up(tmp_path, capsys)

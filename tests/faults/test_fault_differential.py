@@ -9,9 +9,13 @@ with the fault visible in the fault log (and, through the CLI, in the
 Seeds are chosen from the shared randomized-program corpus for verdict
 variety (the list includes race-dense and race-free traces and 2-6 object
 programs); the seeded fault plans stack worker exceptions and unpicklable
-results across shards and attempts.  Hang and kill faults each cost a
-timeout window to detect, so they get dedicated single-fault cases
+results across shards and attempts.  Hang and kill faults can each cost
+a timeout window to detect, so they get dedicated single-fault cases
 rather than riding the seed sweep.
+
+Every case runs on the default transport — shared-memory rings wherever
+the host has them — here, and again on the pickle pool in
+``test_fault_differential_pickle``, which pins the ``transport`` fixture.
 """
 
 import json
@@ -37,6 +41,12 @@ from tests.support import (build_multi_object_trace,
 SEEDS = (0, 10, 11, 12, 16, 18)
 
 
+@pytest.fixture
+def transport():
+    """The ``backend`` under test: None lets the host pick."""
+    return None
+
+
 def corpus_case(seed):
     program = random_multi_object_program(seed, max_objects=6, max_ops=80)
     trace, bindings = build_multi_object_trace(program)
@@ -47,12 +57,14 @@ def corpus_case(seed):
     return trace, bindings, sequential
 
 
-def supervised_run(trace, bindings, plan, retries=1, timeout=60.0):
+def supervised_run(trace, bindings, plan, transport, retries=1,
+                   timeout=60.0):
     obs = Registry(sample_interval=1)
     config = SupervisorConfig(shard_timeout=timeout, max_retries=retries,
                               backoff_base=0.0, wrap=plan.wrap)
     detector = ShardedDetector(workers=2, mp_context=START_METHOD,
-                               supervisor=config, obs=obs)
+                               supervisor=config, obs=obs,
+                               backend=transport)
     register_bindings(detector, bindings)
     detector.run(trace)
     return detector, obs
@@ -65,10 +77,11 @@ def assert_identical(detector, sequential):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_seeded_fault_plans_preserve_output(seed):
+def test_seeded_fault_plans_preserve_output(seed, transport):
     trace, bindings, sequential = corpus_case(seed)
     plan = FaultPlan.seeded(seed, shards=2, retries=1)
-    detector, obs = supervised_run(trace, bindings, plan, retries=1)
+    detector, obs = supervised_run(trace, bindings, plan, transport,
+                                   retries=1)
     assert_identical(detector, sequential)
     if plan.has_faults() and len(bindings) > 1:
         # >=2 objects means >=2 shards, so at least one planned fault
@@ -78,41 +91,54 @@ def test_seeded_fault_plans_preserve_output(seed):
             len(detector.faults)
 
 
-def test_hang_past_timeout_preserves_output():
+def test_hang_past_timeout_preserves_output(transport):
     trace, bindings, sequential = corpus_case(0)
     plan = FaultPlan.build({0: FaultSpec("hang", times=99,
                                          seconds=HANG_SECONDS)})
-    detector, _ = supervised_run(trace, bindings, plan, retries=0,
-                                 timeout=FAST_TIMEOUT)
+    detector, _ = supervised_run(trace, bindings, plan, transport,
+                                 retries=0, timeout=FAST_TIMEOUT)
     assert_identical(detector, sequential)
     assert detector.faults.count(kind="timeout") == 1
     assert detector.faults.count(kind="fallback") == 1
 
 
-def test_killed_worker_preserves_output():
+def test_killed_worker_preserves_output(transport):
     trace, bindings, sequential = corpus_case(16)
     plan = FaultPlan.build({1: FaultSpec("exit", times=1)})
-    detector, _ = supervised_run(trace, bindings, plan, retries=1,
-                                 timeout=FAST_TIMEOUT)
+    detector, _ = supervised_run(trace, bindings, plan, transport,
+                                 retries=1, timeout=FAST_TIMEOUT)
     assert_identical(detector, sequential)
-    assert detector.faults.count(kind="timeout") == 1
+    # A dead shm child closes its result pipe, so it is caught at once; a
+    # pool only notices that the job's result never arrives.
+    kind = ("timeout" if detector.backend.selected == "pickle"
+            else "worker-raised")
+    assert detector.faults.count(kind=kind) == 1
+    assert len(detector.faults) == 1
 
 
-def test_unpicklable_results_on_every_shard_preserve_output():
+def test_unpicklable_results_on_every_shard_preserve_output(transport):
     trace, bindings, sequential = corpus_case(18)
     plan = FaultPlan(default=FaultSpec("bad-result", times=99))
-    detector, _ = supervised_run(trace, bindings, plan)
+    detector, _ = supervised_run(trace, bindings, plan, transport)
     assert_identical(detector, sequential)
     assert detector.faults.count(kind="result-unpicklable") >= 1
     assert detector.faults.count(kind="fallback") >= 1
 
 
-def run_cli(*argv, env_extra=None):
+# The CLI takes no transport flag: pinning the pickle pool means running
+# it as a host without shared memory would.
+NO_SHM_CLI = ("import sys, repro.core.backend as b; b._SHM_PROBE = False; "
+              "from repro.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+def run_cli(*argv, transport=None, env_extra=None):
     env = dict(os.environ, PYTHONPATH="src")
     if START_METHOD:
         env["REPRO_TEST_START_METHOD"] = START_METHOD
     env.update(env_extra or {})
-    return subprocess.run([sys.executable, "-m", "repro.cli", *argv],
+    entry = (["-c", NO_SHM_CLI] if transport == "pickle"
+             else ["-m", "repro.cli"])
+    return subprocess.run([sys.executable, *entry, *argv],
                           capture_output=True, text=True, env=env,
                           cwd=os.path.dirname(os.path.dirname(
                               os.path.dirname(os.path.abspath(__file__)))))
@@ -123,7 +149,7 @@ OBJECTS = ("--object", "a=accumulator", "--object", "d=dictionary",
            "--object", "r=register")
 
 
-def test_cli_fault_plan_differential_with_stats_json(tmp_path):
+def test_cli_fault_plan_differential_with_stats_json(tmp_path, transport):
     """End to end through the real CLI: inject via REPRO_FAULT_PLAN,
     assert identical stdout and faults visible in --stats-json."""
     stats = tmp_path / "stats.json"
@@ -131,6 +157,7 @@ def test_cli_fault_plan_differential_with_stats_json(tmp_path):
     clean = run_cli(TRACE, *OBJECTS)
     faulty = run_cli(TRACE, *OBJECTS, "--workers", "2",
                      "--shard-retries", "1", "--stats-json", str(stats),
+                     transport=transport,
                      env_extra={PLAN_ENV: plan.to_env()})
     assert clean.returncode == faulty.returncode == 1  # races reported
     assert (faulty.stdout.replace("rd2 [2 workers]:", "rd2:")
@@ -143,10 +170,13 @@ def test_cli_fault_plan_differential_with_stats_json(tmp_path):
         counts.values())
 
 
-def test_cli_fault_free_run_reports_no_faults(tmp_path):
+def test_cli_fault_free_run_reports_no_faults(tmp_path, transport):
     stats = tmp_path / "stats.json"
     result = run_cli(TRACE, *OBJECTS, "--workers", "2",
-                     "--stats-json", str(stats))
+                     "--stats-json", str(stats), transport=transport)
     assert result.returncode == 1
     assert "tolerated" not in result.stderr
-    assert "faults" not in json.loads(stats.read_text())
+    report = json.loads(stats.read_text())
+    assert "faults" not in report
+    if transport == "pickle":
+        assert "shm_bytes_written" not in report["stats"]["counters"]

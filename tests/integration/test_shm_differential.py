@@ -15,6 +15,7 @@ import pickle
 
 import pytest
 
+from repro.core import parallel
 from repro.core.backend import shm_available
 from repro.core.detector import CommutativityRaceDetector
 from repro.core.parallel import ShardedDetector
@@ -73,15 +74,17 @@ class TestShmDifferential:
             det = run_shm(trace, bindings, mp_context, prune_interval=7)
             assert [race_snapshot(r) for r in det.races] == want, seed
 
-    def test_tiny_rings_block_but_never_corrupt(self, mp_context):
+    def test_tiny_rings_block_but_never_corrupt(self, mp_context,
+                                                monkeypatch):
         """Force constant producer stalls: rings two slots deep must
         still deliver byte-identical reports — wraparound and
         backpressure under a real consumer process."""
+        monkeypatch.setattr(parallel, "DEFAULT_RING_SLOTS", 2)
+        monkeypatch.setattr(parallel, "DEFAULT_SIDE_BYTES", 512)
         program = random_multi_object_program(9, max_ops=60)
         trace, bindings = build_multi_object_trace(program)
         want = reference_snapshots(trace, bindings)
-        det = run_shm(trace, bindings, mp_context,
-                      ring_slots=2, ring_side_bytes=512)
+        det = run_shm(trace, bindings, mp_context)
         assert [race_snapshot(r) for r in det.races] == want
         assert not det.faults.records()
 

@@ -8,6 +8,7 @@ any bundled object kind.
 
 from __future__ import annotations
 
+import os
 import random
 from typing import Dict, List, Tuple
 
@@ -363,3 +364,12 @@ def sample_actions(kind: str, count: int = 60, seed: int = 13,
         state, returns = semantics.apply(state, method, args)
         actions.append(Action(obj, method, args, returns))
     return actions
+
+
+def shm_entries() -> set:
+    """Names of the shared-memory segments alive on this host (empty where
+    there is no ``/dev/shm``), to assert a run leaked none."""
+    try:
+        return set(os.listdir("/dev/shm"))
+    except OSError:
+        return set()

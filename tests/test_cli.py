@@ -125,6 +125,9 @@ class TestWorkersFlag:
 
 
 class TestBackendFlag:
+    """The host picks the shard transport; the CLI only reports a
+    fallback, and takes no flag for it."""
+
     def test_shm_backend_reports_the_same_races(self, racy_trace_file,
                                                 capsys):
         import repro.core.backend as backend_mod
@@ -133,32 +136,31 @@ class TestBackendFlag:
         sequential = main([racy_trace_file, "--object", "o=dictionary"])
         seq_out = capsys.readouterr().out
         sharded = main([racy_trace_file, "--object", "o=dictionary",
-                        "--workers", "2", "--backend", "shm"])
-        shard_out = capsys.readouterr().out
+                        "--workers", "2"])
+        captured = capsys.readouterr()
         assert sharded == sequential == 1
         assert (seq_out.replace("rd2:", "rd2 [2 workers]:")
-                == shard_out)
+                == captured.out)
+        assert "backend" not in captured.err
 
     def test_fallback_is_announced_on_stderr(self, racy_trace_file,
                                              monkeypatch, capsys):
         import repro.core.backend as backend_mod
         monkeypatch.setattr(backend_mod, "_SHM_PROBE", False)
         code = main([racy_trace_file, "--object", "o=dictionary",
-                     "--workers", "2", "--backend", "shm"])
+                     "--workers", "2"])
         err = capsys.readouterr().err
         assert code == 1
-        assert "backend: shm -> pickle" in err
+        assert err.splitlines() == [
+            "backend: pickle (shared memory unavailable on this host)"]
 
-    def test_backend_needs_rd2_and_workers(self, racy_trace_file):
-        with pytest.raises(SystemExit):
-            main([racy_trace_file, "--detector", "fasttrack",
-                  "--backend", "shm"])
-        with pytest.raises(SystemExit):
-            main([racy_trace_file, "--object", "o=dictionary",
-                  "--backend", "shm"])          # workers defaults to 1
-        with pytest.raises(SystemExit):
-            main([racy_trace_file, "--object", "o=dictionary",
-                  "--workers", "2", "--backend", "laser"])
+    def test_backend_flag_is_rejected(self, racy_trace_file, capsys):
+        for value in ("shm", "pickle"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([racy_trace_file, "--object", "o=dictionary",
+                      "--workers", "2", "--backend", value])
+            assert excinfo.value.code == 2
+            assert "--backend" in capsys.readouterr().err
 
 
 class TestPruneIntervalFlag:
