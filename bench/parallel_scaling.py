@@ -20,20 +20,13 @@ dominates at realistic object counts).
 ``--smoke`` runs a scaled-down sweep plus the CI smoke job's gates (each
 fails the run with exit 1 on a breach): the *observability overhead
 gate* (detector timed with metrics disabled vs. the sampled registry
-enabled, 5% budget), the *hot-path gate* (copy-on-write stamping must be
->=1.5x the copying freeze on the Phase-A microbench) and the backend
-fan-out gate below.  End-to-end detector speed is measured by the
+enabled, 5% budget) and the *hot-path gate* (copy-on-write stamping must
+be >=1.5x the copying freeze on the Phase-A microbench).  End-to-end
+detector speed, the shard transport included, is measured by the
 layered benchmark (``perfbench/``, declared in ``BENCHMARK.json``).
 
 ``--hotpath`` runs the stamping leg on its own and writes the
 machine-readable results to ``BENCH_PR4.json`` (see ``--hotpath-json``).
-It then runs the *backend fan-out leg*: the shm transport vs. the pickle
-pool, end to end at 8 workers on a wide-clock butterfly workload, gated
-at >=2.0x and recorded in ``BENCH_PR9.json`` (see
-``--backend-json``) — the measurement behind shm being the transport
-wherever the host has shared memory.  ``--ipc`` prints the same
-workload's transport story — bytes on the wire and serialization seconds
-per transport.
 
 Run:  PYTHONPATH=src python bench/parallel_scaling.py [--events N]
           [--objects K] [--threads T] [--workers 1,2,4]
@@ -483,213 +476,6 @@ def predict_overhead_gate(repeats: int = 5, passes: int = 10,
     return ok
 
 
-# -- shared-memory backend fan-out leg (PR 9) --------------------------------
-
-
-def fanout_trace(events: int, objects: int = 8, threads: int = 768,
-                 put_share: float = 0.9, seed: int = 0):
-    """Wide-clock fan-out workload: butterfly mixing, then lock-free churn.
-
-    A hypercube gossip prologue (``log2(threads)`` rounds of pairwise
-    lock handoffs — concurrent pairs, never a total order, so the
-    epoch-adaptive stamping cannot collapse the clocks) leaves every
-    thread with a full-width vector clock.  The churn phase then runs
-    sync-free put/get rounds on thread-private keys: each stamped action
-    carries an O(threads) clock but opens no new synchronization window.
-    This is the shape that separates the execution backends — the pickle
-    backend re-serializes the wide clock mapping on every single action,
-    while the shm rings ship each clock base once per shard and stream
-    8-byte stamps after that.
-    """
-    builder = TraceBuilder(root=0)
-    tids = list(range(1, threads + 1))
-    for tid in tids:
-        builder.fork(0, tid)
-    rounds = max(1, (threads - 1).bit_length())
-    for r in range(rounds):
-        step = 1 << r
-        for i in range(threads):
-            j = i ^ step
-            if j >= threads or i > j:
-                continue
-            lock = f"m{r}.{i}"
-            a, b = tids[i], tids[j]
-            builder.acquire(a, lock)
-            builder.release(a, lock)
-            builder.acquire(b, lock)      # b inherits a's clock
-            builder.release(b, lock)
-            builder.acquire(a, lock)      # a inherits b's in return
-            builder.release(a, lock)
-    from repro.core.events import NIL
-    rng = random.Random(seed)
-    shadow: dict = {}
-    for n in range(events):
-        tid = tids[n % threads]
-        obj = f"d{n % objects}"
-        key = f"t{tid}"
-        if rng.random() < put_share:
-            builder.invoke(tid, obj, "put", key, n, returns=NIL)
-            shadow[(obj, key)] = n
-        else:
-            builder.invoke(tid, obj, "get", key,
-                           returns=shadow.get((obj, key), NIL))
-    return builder.build(stamp=False)
-
-
-def backend_fanout_bench(events: int = 60_000, objects: int = 8,
-                         threads: int = 768, workers: int = 8,
-                         repeats: int = 2, seed: int = 0) -> dict:
-    """End-to-end pickle vs. shm on the 8-worker fan-out workload.
-
-    Each backend's warmup run carries an exact-sampling obs registry, so
-    the IPC story (bytes on the wire, serialization seconds) comes out of
-    the same suite without ever instrumenting a timed run.  Verdicts are
-    asserted identical between the backends before any time is believed.
-    """
-    trace = fanout_trace(events, objects=objects, threads=threads, seed=seed)
-
-    def run_once(backend, obs=None):
-        detector = register_all(
-            ShardedDetector(root=0, workers=workers, backend=backend,
-                            keep_reports=False, obs=obs), objects)
-        return timed_run(detector, trace), detector
-
-    ipc: dict = {}
-    verdicts = {}
-    selected = {}
-
-    def instrumented(backend):
-        obs = Registry(sample_interval=1)
-        seconds, detector = run_once(backend, obs=obs)
-        snap = obs.snapshot()
-        counters, timers = snap["counters"], snap["timers"]
-        ipc[backend] = {
-            "ipc_bytes_pickled": counters.get("ipc_bytes_pickled", 0),
-            "shm_bytes_written": counters.get("shm_bytes_written", 0),
-            "serialize_seconds": round(
-                timers.get("ipc_serialize", {}).get("total_ns", 0) / 1e9, 4),
-            "shm_encode_seconds": round(
-                timers.get("shm_encode", {}).get("total_ns", 0) / 1e9, 4),
-            "shm_ring_hwm": snap["gauges"].get("shm_ring_hwm", 0),
-        }
-        verdicts[backend] = (detector.stats.races,
-                             detector.stats.conflict_checks)
-        selected[backend] = detector.backend.selected
-        return seconds
-
-    # Warmup (discarded, doubles as the IPC measurement), then alternate.
-    instrumented("pickle"), instrumented("shm")
-    assert verdicts["pickle"] == verdicts["shm"], (
-        f"verdict drift between backends: {verdicts}")
-    times: dict = {"pickle": [], "shm": []}
-    for _ in range(repeats):
-        for backend in ("pickle", "shm"):
-            times[backend].append(run_once(backend)[0])
-    best = {backend: min(samples) for backend, samples in times.items()}
-    return {
-        "events": len(trace),
-        "churn_events": events,
-        "objects": objects,
-        "threads": threads,
-        "workers": workers,
-        "repeats": repeats,
-        "selected": selected,
-        "races": verdicts["pickle"][0],
-        "pickle_seconds": best["pickle"],
-        "shm_seconds": best["shm"],
-        "pickle_events_per_s": len(trace) / best["pickle"],
-        "shm_events_per_s": len(trace) / best["shm"],
-        "ipc": ipc,
-        "speedup": best["pickle"] / best["shm"],
-    }
-
-
-def backend_gate(events: int = 60_000, objects: int = 8, threads: int = 768,
-                 workers: int = 8, repeats: int = 2, seed: int = 0,
-                 fanout_min: float = 2.0,
-                 json_path: str | None = "BENCH_PR9.json") -> bool:
-    """The PR 9 acceptance gate: shm >=2x pickle, end to end, 8 workers.
-
-    Skips (passing, recorded as skipped) when the host cannot select the
-    shm backend at all — the fallback chain would silently time pickle
-    against itself.  A first-attempt breach triggers one longer
-    re-measurement before the verdict sticks, mirroring the other gates.
-    """
-    from repro.core.backend import shm_available
-    if not shm_available():
-        print("backend fan-out gate: [SKIP] no shared memory on this host")
-        if json_path:
-            record = {"benchmark": "backend_fanout",
-                      "skipped": "no shared memory on this host"}
-            with open(json_path, "w", encoding="utf-8") as out:
-                json.dump(record, out, indent=2, sort_keys=True)
-                out.write("\n")
-        return True
-
-    results = backend_fanout_bench(events, objects, threads, workers,
-                                   repeats=repeats, seed=seed)
-    if results["speedup"] < fanout_min:
-        print(f"\nbackend fan-out gate: {results['speedup']:.2f}x below the "
-              f"{fanout_min:.1f}x floor on the first attempt; re-measuring")
-        results = backend_fanout_bench(events, objects, threads, workers,
-                                       repeats=2 * repeats, seed=seed)
-    ok = results["speedup"] >= fanout_min
-    results["gates"] = {"fanout_min": fanout_min, "pass": ok}
-    record = {"benchmark": "backend_fanout", "fanout": results,
-              "gates": results.pop("gates")}
-
-    ipc = results["ipc"]
-    print(f"\nbackend fan-out ({results['threads']} threads, "
-          f"{results['workers']} workers, {results['events']} events, "
-          f"best of {results['repeats']})")
-    print(f"  pickle: {results['pickle_seconds']:>7.3f}s "
-          f"{results['pickle_events_per_s']:>9.0f} ev/s  "
-          f"({ipc['pickle']['ipc_bytes_pickled']:>11,} B pickled, "
-          f"{ipc['pickle']['serialize_seconds']:.3f}s serialize)")
-    print(f"  shm:    {results['shm_seconds']:>7.3f}s "
-          f"{results['shm_events_per_s']:>9.0f} ev/s  "
-          f"({ipc['shm']['shm_bytes_written']:>11,} B rings, "
-          f"{ipc['shm']['ipc_bytes_pickled']:,} B init pickles)")
-    print(f"  speedup: {results['speedup']:.2f}x (floor {fanout_min:.1f}x)")
-    print(f"backend fan-out gate: [{'PASS' if ok else 'FAIL'}]")
-
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as out:
-            json.dump(record, out, indent=2, sort_keys=True)
-            out.write("\n")
-        print(f"backend fan-out results written to {json_path}")
-    return ok
-
-
-def ipc_report(events: int = 60_000, objects: int = 8, threads: int = 768,
-               workers: int = 8, seed: int = 0) -> None:
-    """The ``--ipc`` leg: bytes on the wire and serialization seconds.
-
-    One instrumented run per backend over the fan-out workload, printed
-    as a per-backend transport table — the IPC contract (init pickles
-    stay constant, ring bytes carry the stream) stated in numbers.
-    """
-    results = backend_fanout_bench(events, objects, threads, workers,
-                                   repeats=1, seed=seed)
-    ipc = results["ipc"]
-    header = (f"{'backend':>8} {'wall s':>8} {'pickled B':>12} "
-              f"{'ring B':>12} {'serialize s':>12} {'encode s':>9}")
-    print(f"\nIPC transport report ({results['events']} events, "
-          f"{threads} threads, {workers} workers)")
-    print(header)
-    print("-" * len(header))
-    for backend in ("pickle", "shm"):
-        stats = ipc[backend]
-        wall = results[f"{backend}_seconds"]
-        print(f"{backend:>8} {wall:>8.3f} "
-              f"{stats['ipc_bytes_pickled']:>12,} "
-              f"{stats['shm_bytes_written']:>12,} "
-              f"{stats['serialize_seconds']:>12.3f} "
-              f"{stats['shm_encode_seconds']:>9.3f}")
-    print(f"speedup: {results['speedup']:.2f}x "
-          f"(shm ring high-water mark {ipc['shm']['shm_ring_hwm']:,} B)")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--events", type=int, default=100_000)
@@ -706,10 +492,9 @@ def main(argv=None) -> int:
                         help="CI mode: scaled-down sweep plus the overhead "
                              "and hot-path gates (exit 1 on any breach)")
     parser.add_argument("--hotpath", action="store_true",
-                        help="run only the hot-path microbenches (Phase-A "
-                             "stamping, then the backend fan-out leg), "
-                             "write the results JSON, and gate on the "
-                             "speedup floors (exit 1 on a breach)")
+                        help="run only the Phase-A stamping microbench, "
+                             "write the results JSON, and gate on its "
+                             "speedup floor (exit 1 on a breach)")
     parser.add_argument("--stream", action="store_true",
                         help="run only the streaming memory gate: peak "
                              "active+interned points of a pruning "
@@ -725,20 +510,10 @@ def main(argv=None) -> int:
                         default="BENCH_PR10.json",
                         help="where --predict writes the predictive leg's "
                              "record (default: %(default)s)")
-    parser.add_argument("--ipc", action="store_true",
-                        help="run only the IPC transport report: one "
-                             "instrumented fan-out run per execution "
-                             "backend, printing bytes on the wire and "
-                             "serialization seconds for each")
     parser.add_argument("--hotpath-json", metavar="PATH",
                         default="BENCH_PR4.json",
                         help="where --hotpath/--smoke write the hot-path "
                              "results (default: %(default)s)")
-    parser.add_argument("--backend-json", metavar="PATH",
-                        default="BENCH_PR9.json",
-                        help="where --hotpath/--smoke write the backend "
-                             "fan-out leg's record "
-                             "(default: %(default)s)")
     parser.add_argument("--stats-json", metavar="PATH",
                         help="write the sequential run's observability "
                              "report (exact sampling) to PATH")
@@ -765,17 +540,10 @@ def main(argv=None) -> int:
                                    json_path=args.predict_json)
         return 0 if ok else 1
 
-    if args.ipc:
-        ipc_report(seed=args.seed)
-        return 0
-
     if args.hotpath:
         ok = hotpath_gate(args.events, args.threads, seed=args.seed,
                           repeats=3 if args.smoke else 5,
                           json_path=args.hotpath_json)
-        ok = backend_gate(seed=args.seed,
-                          repeats=1 if args.smoke else 2,
-                          json_path=args.backend_json) and ok
         return 0 if ok else 1
 
     print(f"generating {args.events} events over {args.objects} objects, "
@@ -842,8 +610,6 @@ def main(argv=None) -> int:
         ok = overhead_gate(trace, args.objects)
         ok = hotpath_gate(args.events, args.threads, seed=args.seed,
                           repeats=3, json_path=args.hotpath_json) and ok
-        ok = backend_gate(seed=args.seed, repeats=1,
-                          json_path=args.backend_json) and ok
         if not ok:
             return 1
     return 0

@@ -203,9 +203,6 @@ def _analyze_commutativity(trace, bindings, detector_kind: str,
                                    checkpoint=checkpoint,
                                    resume_from=resume_from,
                                    predict_window=predict_window)
-        if detector.backend.reason is not None:
-            print(f"backend: {detector.backend.describe()}",
-                  file=sys.stderr)
     elif detector_kind == "rd2":
         from .core.detector import CommutativityRaceDetector
         detector = CommutativityRaceDetector(root=trace.root,
@@ -409,14 +406,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--workers", default="1", metavar="N",
                         help="fan the rd2 per-object race checks out to N "
                              "worker processes (two-phase sharded pipeline, "
-                             "fed through shared-memory rings where the "
-                             "host has them, else a pickle pool; default "
+                             "one pickled payload per shard; default "
                              "1 = sequential)")
     parser.add_argument("--shard-timeout", default=None, metavar="SECONDS",
                         help="per-shard supervision timeout for --workers "
                              "runs (default 120)")
     parser.add_argument("--shard-retries", default=None, metavar="N",
-                        help="pool retries per failed shard before falling "
+                        help="retries per failed shard before falling "
                              "back to in-process replay (default 2)")
     parser.add_argument("--checkpoint", metavar="PATH",
                         help="periodically checkpoint phase-A stamping "
@@ -587,8 +583,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             else:
                 code, faults = _analyze_memory(trace, args.detector, obs=obs)
     except KeyboardInterrupt:
-        # The transport already tore its worker processes and rings down
-        # on the way out (no orphans); the span stream is closed by the
+        # The supervisor already tore its worker processes down on the
+        # way out (no orphans); the span stream is closed by the
         # finally, so partial --spans output stays valid JSONL.
         print("repro-analyze: interrupted", file=sys.stderr)
         return EXIT_INTERRUPT

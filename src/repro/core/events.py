@@ -16,8 +16,6 @@ events (see :meth:`repro.core.trace.TraceBuilder.join_all`).
 from __future__ import annotations
 
 import enum
-import pickle
-import struct
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Optional, Tuple
 
@@ -41,17 +39,6 @@ __all__ = [
     "write_event",
     "pack_stamped_action",
     "unpack_stamped_action",
-    "RECORD_STRUCT",
-    "RECORD_SIZE",
-    "REC_ACTION",
-    "REC_INTERN",
-    "REC_OBJECT",
-    "REC_BASE",
-    "REC_END",
-    "FLAG_SPILL",
-    "FLAG_WIDE",
-    "encode_value",
-    "decode_value",
 ]
 
 
@@ -255,8 +242,10 @@ def write_event(tid: Tid, location: Hashable) -> Event:
 # flatten a stamped action to a plain tuple (the object id is factored out
 # at the per-object group level, so it is not repeated per event).  The
 # clock rides along as the immutable VectorClock itself: sharing is safe,
-# it already pickles compactly via ``__reduce__``, and the in-process
-# (inline) shard path then needs no reconstruction at all.
+# and the in-process (inline) shard path then needs no reconstruction at
+# all.  A stamp taken inside a synchronization window pickles as its
+# shared base dict plus its own component, so one shard's pickle carries
+# each base once however many actions share it.
 
 def pack_stamped_action(event: Event, index: int,
                         clock: VectorClock) -> Tuple[Any, ...]:
@@ -273,123 +262,3 @@ def unpack_stamped_action(obj: ObjectId, packed: Tuple[Any, ...]) -> Event:
     event.index = index
     event.clock = clock
     return event
-
-
-# -- fixed-width shared-memory records ----------------------------------------
-#
-# The shm execution backend (:mod:`repro.core.shmem`) ships the same stamped
-# actions through ``multiprocessing.shared_memory`` ring buffers instead of
-# pickled tuples.  Each ring slot is one 40-byte record; variable-length
-# payloads (interned value bytes, inflated clock bases, spilled argument-id
-# lists) live in a byte side-region consumed strictly in record order, so no
-# offsets ever cross the ring — only lengths.
-#
-# Record layout (little-endian)::
-#
-#     B  kind       REC_* discriminator
-#     B  counts     ACTION: nargs<<4 | nreturns (0 with FLAG_WIDE)
-#     H  flags      FLAG_* bits
-#     I  tid        interned thread-id value id (ACTION/BASE)
-#     Q  index      trace index of the event (ACTION)
-#     Q  stamp      the thread's own clock component (ACTION)
-#     I  method     interned method-name value id (ACTION)
-#     I  v0         first inline value id / intern id / object position
-#     I  v1         second inline value id
-#     I  side       length of this record's side-region payload in bytes
-#
-# Clocks exploit the copy-on-write stamping invariant (PR 4): within a
-# synchronization window a thread's clock is one immutable *base* mapping
-# plus the thread's own advanced component.  A BASE record ships the base
-# once per (thread, window); every ACTION then carries only the 8-byte
-# ``stamp`` delta — O(1) per event where pickling ships the O(threads)
-# mapping every time.
-
-RECORD_STRUCT = struct.Struct("<BBHIQQIIII")
-RECORD_SIZE = RECORD_STRUCT.size
-assert RECORD_SIZE == 40
-
-REC_ACTION = 1   #: one stamped action (delta-encoded clock)
-REC_INTERN = 2   #: defines value id v0 := decode_value(side)
-REC_OBJECT = 3   #: switch replay to the shard's object at position v0
-REC_BASE = 4     #: (re)define thread tid's clock base from side bytes
-REC_END = 5      #: end of this shard's stream
-
-FLAG_SPILL = 1   #: ACTION has > 2 value ids; all of them live in the side
-FLAG_WIDE = 2    #: ACTION arity exceeds a nibble; side starts with <HH counts
-
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
-_U32 = struct.Struct("<I")
-
-_I64_MIN = -(1 << 63)
-_I64_MAX = (1 << 63) - 1
-
-
-def encode_value(value: Any) -> bytes:
-    """Encode one trace value (tid, method, argument or return) to bytes.
-
-    Tag-discriminated and *exact*: a value decodes to the same type and
-    value it was encoded from (``True`` never comes back as ``1``, ``nil``
-    never as ``None``), because race reports render values with ``repr``
-    and the shm backend is held to byte-identical reports.  Anything
-    outside the common scalar/tuple vocabulary falls back to pickle.
-    """
-    if value is None:
-        return b"N"
-    cls = value.__class__
-    if cls is bool:
-        return b"T" if value else b"F"
-    if cls is int:
-        if _I64_MIN <= value <= _I64_MAX:
-            return b"i" + _I64.pack(value)
-        return b"P" + pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    if cls is str:
-        return b"s" + value.encode("utf-8", "surrogatepass")
-    if cls is float:
-        return b"f" + _F64.pack(value)
-    if cls is Nil:
-        return b"n"
-    if cls is bytes:
-        return b"y" + value
-    if cls is tuple:
-        parts = [b"t", _U32.pack(len(value))]
-        for item in value:
-            blob = encode_value(item)
-            parts.append(_U32.pack(len(blob)))
-            parts.append(blob)
-        return b"".join(parts)
-    return b"P" + pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def decode_value(blob: bytes) -> Any:
-    """Inverse of :func:`encode_value`."""
-    tag = blob[:1]
-    if tag == b"N":
-        return None
-    if tag == b"T":
-        return True
-    if tag == b"F":
-        return False
-    if tag == b"i":
-        return _I64.unpack_from(blob, 1)[0]
-    if tag == b"s":
-        return blob[1:].decode("utf-8", "surrogatepass")
-    if tag == b"f":
-        return _F64.unpack_from(blob, 1)[0]
-    if tag == b"n":
-        return NIL
-    if tag == b"y":
-        return blob[1:]
-    if tag == b"t":
-        count = _U32.unpack_from(blob, 1)[0]
-        items = []
-        at = 5
-        for _ in range(count):
-            size = _U32.unpack_from(blob, at)[0]
-            at += 4
-            items.append(decode_value(blob[at:at + size]))
-            at += size
-        return tuple(items)
-    if tag == b"P":
-        return pickle.loads(blob[1:])
-    raise ValueError(f"unknown value tag {tag!r}")

@@ -23,10 +23,14 @@ Phase B (parallel)
     shard replays its objects' stamped actions through an ordinary
     :class:`~repro.core.detector.CommutativityRaceDetector` via
     :meth:`~repro.core.detector.CommutativityRaceDetector.process_stamped`
-    in worker processes (see :mod:`repro.core.backend` for how the stamped
-    actions get there).  Race reports come back tagged with
-    their trace index and are merged in stable event-index order; shard
-    stats merge via :meth:`~repro.core.detector.DetectorStats.absorb`.
+    in its own worker process: each shard's payload is pickled once and
+    handed to the child as its process argument.  Stamped clocks pickle
+    as ``(base, tid, stamp)`` (``_SteppedClock`` in
+    :mod:`repro.core.vector_clock`), so pickle's memo ships each
+    synchronization window's shared base once per shard, not once per
+    action.  Race reports come back tagged with their trace index and
+    are merged in stable event-index order; shard stats merge via
+    :meth:`~repro.core.detector.DetectorStats.absorb`.
 
 The merged ``races`` list is *identical* — report for report, in the same
 order — to what the sequential detector produces on the same trace, and
@@ -50,23 +54,20 @@ import hashlib
 import itertools
 import multiprocessing
 import pickle
-import time
 from time import perf_counter_ns
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .backend import BackendChoice, resolve_backend
+from .backend import resolve_backend
 from .checkpoint import (CHECKPOINT_VERSION, Checkpoint, CheckpointConfig,
                          CheckpointWriter, event_fingerprint, load_checkpoint)
 from .detector import (CommutativityRaceDetector, DetectorStats, Strategy,
                        resolve_strategy)
 from .errors import CheckpointError, MonitorError
-from .events import (Action, Event, EventKind, ObjectId,
+from .events import (Action, EventKind, ObjectId,
                      pack_stamped_action, unpack_stamped_action)
 from .faults import FaultLog
 from .hb import HappensBeforeTracker
 from .races import CommutativityRace
-from .shmem import (DEFAULT_RING_SLOTS, DEFAULT_SIDE_BYTES, RecordRing,
-                    StampedDecoder, StampedEncoder, feed_shard)
 from .supervise import ShardSupervisor, SupervisorConfig
 from .vector_clock import Tid
 
@@ -128,46 +129,17 @@ def _analyze_shard(payload: _ShardPayload):
     When the facade neither keeps reports nor has an ``on_race`` callback
     (``need_reports`` false), races are only counted: shipping tens of
     thousands of report objects back over the pipe would dominate the
-    pool's cost for report-dense traces, mirroring why the sequential
+    transport's cost for report-dense traces, mirroring why the sequential
     detector grew ``keep_reports=False`` for long benchmark runs.
     """
     need_reports, obs_interval, prune_snaps, objects = payload
-    detector, obs = _build_shard_detector(
-        obs_interval, [entry[:4] for entry in objects])
-    triples = _replay_stamped(
-        detector, obs, need_reports, prune_snaps,
-        ((obj, packed_actions) for obj, _, _, _, packed_actions in objects))
-    return triples, detector.stats, obs
-
-
-def _build_shard_detector(obs_interval, registrations):
-    """Construct one shard worker's detector from its registrations.
-
-    ``registrations`` is ``(obj, representation, strategy, plan)`` tuples —
-    the shard payload minus the stamped actions, which arrive either
-    inside the payload (pickle backend) or through a shared-memory ring
-    (shm backend).  Returns ``(detector, obs)``.
-    """
     obs = None
     if obs_interval is not None:
         from ..obs.registry import Registry
         obs = Registry(sample_interval=obs_interval)
     detector = CommutativityRaceDetector(keep_reports=False, obs=obs)
-    for obj, representation, strategy, plan in registrations:
+    for obj, representation, strategy, plan, _ in objects:
         detector.register_object(obj, representation, strategy, plan=plan)
-    return detector, obs
-
-
-def _replay_stamped(detector, obs, need_reports, prune_snaps, streams):
-    """Replay per-object stamped-action streams through Algorithm 1.
-
-    ``streams`` yields ``(obj, iterable_of_packed_actions)`` — a list per
-    object for the pickle backend, a live ring-decoder iterator for the
-    shm backend; the replay is oblivious to which, so both backends run
-    the *identical* code path and stay byte-identical by construction.
-    Returns the shard's races as ``(trace index, seq, race)`` triples
-    (empty when ``need_reports`` is false).
-    """
     # One reusable Event shell per shard: the detector reads (and the race
     # reports capture) only the per-iteration action/tid/clock values, so
     # rebuilding the carrier dataclass per event is avoidable overhead.
@@ -176,7 +148,7 @@ def _replay_stamped(detector, obs, need_reports, prune_snaps, streams):
     triples: List[Tuple[int, int, CommutativityRace]] = []
     snap_count = len(prune_snaps)
     replay_start = perf_counter_ns() if obs is not None else 0
-    for obj, packed_actions in streams:
+    for obj, _, _, _, packed_actions in objects:
         # The sequential detector prunes *all* objects after the action at
         # each boundary index; this object's state at that moment is fully
         # determined by its own actions with index <= boundary, so
@@ -205,7 +177,7 @@ def _replay_stamped(detector, obs, need_reports, prune_snaps, streams):
         # One exact span per shard: merged, the "shard" timer sums replay
         # CPU time across shards (vs. the facade's "fanout" wall clock).
         obs.timer("shard").record(perf_counter_ns() - replay_start)
-    return triples
+    return triples, detector.stats, obs
 
 
 def _shard_job(index: int, payload: _ShardPayload, attempt: int):
@@ -214,23 +186,22 @@ def _shard_job(index: int, payload: _ShardPayload, attempt: int):
     The supervisor's worker contract is ``worker(index, payload, attempt)``
     so retries are distinguishable (and so the fault harness can key on
     shard and attempt); the shard computation itself depends only on the
-    payload — every attempt, pool or inline, replays identically.
+    payload — every attempt, child or inline, replays identically.
     """
     return _analyze_shard(payload)
 
 
 def _diagnose_unpicklable(payload: _ShardPayload,
                           exc: Exception) -> Optional[MonitorError]:
-    """Explain a worker failure that is really a task-pickling failure.
+    """Explain a shard failure that is really a task-pickling failure.
 
-    A payload that cannot be pickled never reaches the worker — the pool
-    hands the serialization error back through the job's result, where it
-    is indistinguishable from an exception the worker raised.  Retrying a
-    deterministic serialization failure is useless, so the supervisor asks
-    us first: if the payload truly does not pickle, pinpoint the object
-    (and which of its parts) to blame and return a :class:`MonitorError`
-    for the caller; if it pickles fine, return None — the worker genuinely
-    raised ``exc`` and normal retry/fallback handling applies.
+    The supervisor asks before it degrades a payload that would not
+    pickle, and whenever a worker raises or dies: retrying a
+    deterministic serialization failure is useless.  If the payload truly
+    does not pickle, pinpoint the object (and which of its parts) to
+    blame and return a :class:`MonitorError` for the caller; if it
+    pickles fine, return None — the worker genuinely failed with ``exc``
+    and normal retry/fallback handling applies.
     """
     try:
         pickle.dumps(payload)
@@ -254,120 +225,6 @@ def _diagnose_unpicklable(payload: _ShardPayload,
             f"shard payload cannot be pickled for worker processes "
             f"({type(probe).__name__}: {probe})")
     return None
-
-
-# -- the shared-memory transport ----------------------------------------------
-
-def _shm_shard_job(index: int, payload: Tuple[str, bytes], attempt: int):
-    """Shm child's shard job: decode the ring and replay the actions.
-
-    ``payload`` is ``(ring name, init blob)``.  The init blob carries
-    everything *except* the stamped actions — the report and obs settings,
-    prune snapshots and per-object registrations, pickled once per shard.
-    Actions stream in through the shard's record ring and are replayed as
-    they arrive (pipelined with phase-A encoding).  The contract is
-    :func:`_shard_job`'s, so the supervisor's fault plan wraps both alike.
-    """
-    ring_name, init_blob = payload
-    need_reports, obs_interval, prune_snaps, registrations = (
-        pickle.loads(init_blob))
-    ring = RecordRing.attach(ring_name)
-    try:
-        detector, obs = _build_shard_detector(obs_interval, registrations)
-        objs = [entry[0] for entry in registrations]
-        triples = _replay_stamped(
-            detector, obs, need_reports, prune_snaps,
-            ((objs[position], actions)
-             for position, actions in StampedDecoder(ring).streams()))
-        return triples, detector.stats, obs
-    finally:
-        ring.close()
-
-
-def _shm_worker_main(job: Callable, index: int, attempt: int,
-                     payload: Tuple[str, bytes], conn) -> None:
-    """Process target for the shm transport: run ``job``, report back.
-
-    The result (or a classified failure) goes back over ``conn`` as
-    ``("ok", result)`` / ``("error", kind, detail)``.
-    """
-    try:
-        result = job(index, payload, attempt)
-        try:
-            conn.send(("ok", result))
-        except Exception as exc:
-            conn.send(("error", "result-unpicklable",
-                       f"{type(exc).__name__}: {exc}"))
-    except Exception as exc:
-        try:
-            conn.send(("error", "worker-raised",
-                       f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
-
-
-class _ShmJob:
-    """Parent-side state for one in-flight shm shard attempt."""
-
-    __slots__ = ("index", "attempt", "ring", "conn", "proc", "encoder",
-                 "feeder", "fed", "failure")
-
-    def __init__(self, index: int, attempt: int, ring: RecordRing):
-        self.index = index
-        self.attempt = attempt
-        self.ring = ring
-        self.conn = None
-        self.proc = None
-        self.encoder = StampedEncoder(ring)
-        self.feeder = None
-        self.fed = False
-        self.failure = None
-
-    def fail(self, kind: str, detail: str, retryable: bool) -> None:
-        self.failure = (self.index, self.attempt, kind, detail, retryable)
-
-    def collect(self, deadline: Optional[float],
-                shard_timeout: Optional[float], results) -> None:
-        """Store the fed shard's result, or record why there is none."""
-        remaining = (max(0.0, deadline - time.monotonic())
-                     if deadline is not None else None)
-        try:
-            msg = self.conn.recv() if self.conn.poll(remaining) else None
-        except (EOFError, OSError):
-            # The pipe closed unanswered: the child is gone.
-            self.proc.join()
-            self.fail("worker-raised",
-                      f"shard worker died (exitcode {self.proc.exitcode})",
-                      True)
-            return
-        if msg is None:
-            self.fail("timeout",
-                      f"no result within {shard_timeout:g}s (hung worker)",
-                      True)
-        elif msg[0] == "ok" and self.fed:
-            results[self.index] = msg[1]
-        elif msg[0] == "ok":
-            self.fail("worker-raised",
-                      "worker returned before consuming its stream", True)
-        else:
-            _, kind, detail = msg
-            self.fail(kind, detail, kind != "result-unpicklable")
-
-    def close(self) -> None:
-        """Stop the child if it still runs; release the pipe and ring."""
-        if self.proc is not None:
-            if self.proc.is_alive():
-                self.proc.terminate()
-            self.proc.join()
-        if self.conn is not None:
-            self.conn.close()
-        self.ring.close()
-        self.ring.unlink()
 
 
 class ShardedDetector:
@@ -405,8 +262,7 @@ class ShardedDetector:
     supervisor:
         Optional :class:`SupervisorConfig` for the
         :class:`~repro.core.supervise.ShardSupervisor` that runs phase B
-        on either transport — per-shard timeout, bounded retry,
-        in-process fallback.
+        — per-shard timeout, bounded retry, in-process fallback.
     checkpoint:
         Optional :class:`~repro.core.checkpoint.CheckpointConfig`; phase A
         then snapshots its state every ``interval`` events so a killed run
@@ -426,24 +282,16 @@ class ShardedDetector:
         Not combinable with ``checkpoint``/``resume_from`` (the boundary
         snapshots are not checkpointed).
     backend:
-        Phase-B transport, normally left to the host (``None``):
-        ``"shm"`` (stamped actions streamed through per-shard
-        ``multiprocessing.shared_memory`` record rings — only the
-        per-worker registrations and settings are pickled, once) wherever
-        the host can create a segment, else ``"pickle"`` (whole shard
-        payloads pickled into a process pool).  Naming one pins it; a
-        pinned ``"shm"`` still falls back where the host has no shared
-        memory.  The outcome, with the reason for a fallback, is in
-        :attr:`backend`, a :class:`~repro.core.backend.BackendChoice`.
-        Both transports produce byte-identical merged reports.
+        Phase-B transport: ``None`` or ``"pickle"``, the only one there
+        is; anything else is a :class:`ValueError`.
     predict_window:
         When > 0, a predictive pass (:mod:`repro.core.predict`) runs
         after the merge: per-object candidate pairs fan out over the
         same greedy load split as phase B (thread pool — candidate
         resolution is pure Python over the shared immutable dependence
         index) and validated predictions land in :attr:`predicted`,
-        sorted by original-index pair so every backend and worker count
-        agrees byte for byte.  Incompatible with checkpoint/resume
+        sorted by original-index pair so every worker count agrees byte
+        for byte.  Incompatible with checkpoint/resume
         (the event log prediction needs is not part of the checkpoint
         format).
     """
@@ -494,10 +342,7 @@ class ShardedDetector:
         self._supervisor_config = supervisor
         self._checkpoint = checkpoint
         self._resume_from = resume_from
-        #: Resolved phase-B transport (request, selection, fallback
-        #: reason) — resolved eagerly so callers can log the outcome
-        #: before the first run.
-        self.backend: BackendChoice = resolve_backend(backend)
+        resolve_backend(backend)
         self._registrations: Dict[ObjectId, Tuple[Any, Strategy, Any]] = {}
         self._hb: Optional[HappensBeforeTracker] = None
         self.races: List[CommutativityRace] = []
@@ -517,8 +362,8 @@ class ShardedDetector:
         """Attach an access point representation to a shared object."""
         if obj in self._registrations:
             raise MonitorError(f"object {obj!r} registered twice")
-        # Both transports ship registrations to worker processes (shm in
-        # its one-shot init blob), so they must pickle.
+        # Worker processes receive registrations pickled, so they must
+        # pickle.
         if self.workers > 1:
             try:
                 pickle.dumps(representation)
@@ -746,141 +591,12 @@ class ShardedDetector:
             return []
         if self.workers <= 1 or len(payloads) == 1:
             return [_analyze_shard(payload) for payload in payloads]
-        config = self._supervisor_config or SupervisorConfig()
         supervisor = ShardSupervisor(
-            _shard_job, processes=len(payloads), mp_context=self._mp_context,
-            config=config, obs=self._obs, faults=self.faults,
+            _shard_job, mp_context=self._mp_context,
+            config=self._supervisor_config, obs=self._obs, faults=self.faults,
             diagnose=lambda index, exc: _diagnose_unpicklable(
                 payloads[index], exc))
-        if self.backend.selected == "pickle":
-            return supervisor.run(payloads)
-        # The shm transport brings its own worker processes but keeps the
-        # supervisor's retry/backoff/fault-accounting loop, its fault plan
-        # and its inline fallback.
-        return supervisor.run_rounds(
-            payloads, self._shm_round(config, supervisor.wrap(_shm_shard_job)))
-
-    def _shm_round(self, config: SupervisorConfig, job: Callable):
-        """Build the shm transport's supervisor round runner.
-
-        Each shard attempt gets a private record ring and a child process
-        running ``job`` (:func:`_shm_shard_job` under the run's fault
-        plan); the parent round-robins phase-A encoding across all rings
-        (a full ring yields the CPU to other shards, then to the
-        consumer) and collects results over a pipe.  A retry reuses the
-        shard's pickled init blob — registrations and settings, no
-        actions — but streams a fresh ring, re-encoding every action.  A
-        payload that cannot cross the boundary raises the pickle pool's
-        diagnosis, a :class:`MonitorError` naming the object.
-        """
-        ctx = (multiprocessing.get_context(self._mp_context)
-               if self._mp_context else multiprocessing.get_context())
-        obs = self._obs
-        init_blobs: Dict[int, bytes] = {}
-        hwm = 0
-
-        def init_blob(index: int, payload) -> bytes:
-            blob = init_blobs.get(index)
-            if blob is not None:
-                if obs is not None:
-                    obs.add("shard_payload_reuse")
-                return blob
-            start = perf_counter_ns()
-            blob = pickle.dumps(
-                payload[:3] + ([entry[:4] for entry in payload[3]],),
-                protocol=pickle.HIGHEST_PROTOCOL)
-            if obs is not None:
-                obs.add("ipc_bytes_pickled", len(blob))
-                obs.timer("ipc_serialize").record(perf_counter_ns() - start)
-            init_blobs[index] = blob
-            return blob
-
-        def runner(payloads, jobs, results):
-            nonlocal hwm
-            failures = []
-            states: List[_ShmJob] = []
-            encode_ns = 0
-
-            def raise_undeliverable(index: int, exc: Exception):
-                # Deterministic, so never retried: raise what the pickle
-                # pool raises for the same payload.
-                diagnosed = _diagnose_unpicklable(payloads[index], exc)
-                if diagnosed is None:
-                    raise exc
-                raise diagnosed from exc
-
-            try:
-                for index, attempt in jobs:
-                    try:
-                        blob = init_blob(index, payloads[index])
-                    except Exception as exc:
-                        raise_undeliverable(index, exc)
-                    shard = _ShmJob(index, attempt, RecordRing.create(
-                        DEFAULT_RING_SLOTS, DEFAULT_SIDE_BYTES))
-                    states.append(shard)
-                    shard.conn, send_conn = ctx.Pipe(duplex=False)
-                    proc = ctx.Process(
-                        target=_shm_worker_main,
-                        args=(job, index, attempt, (shard.ring.name, blob),
-                              send_conn),
-                        daemon=True)
-                    proc.start()
-                    shard.proc = proc
-                    send_conn.close()
-                    shard.feeder = feed_shard(shard.encoder,
-                                              payloads[index][3])
-                deadline = (time.monotonic() + config.shard_timeout
-                            if config.shard_timeout is not None else None)
-                # Feed phase: interleave all shards' encodes; a blocked
-                # ring never busy-waits while another shard could progress.
-                active = list(states)
-                while active:
-                    if deadline is not None and time.monotonic() > deadline:
-                        for shard in active:
-                            shard.fail("timeout",
-                                       f"ring not drained within "
-                                       f"{config.shard_timeout:g}s "
-                                       f"(stalled worker)", True)
-                        break
-                    progressed = False
-                    for shard in list(active):
-                        start = perf_counter_ns()
-                        try:
-                            step = next(shard.feeder)
-                        except StopIteration:
-                            shard.fed = step = True
-                        except Exception as exc:
-                            raise_undeliverable(shard.index, exc)
-                        encode_ns += perf_counter_ns() - start
-                        hwm = max(hwm, shard.ring.occupancy_bytes())
-                        if shard.fed:
-                            active.remove(shard)
-                        if step:
-                            progressed = True
-                        elif not shard.proc.is_alive():
-                            # Dead consumer: stop feeding; the collect
-                            # phase reads its last words off the pipe.
-                            active.remove(shard)
-                    if not progressed and active:
-                        time.sleep(0.0005)
-                # Collect phase.
-                for shard in states:
-                    if shard.failure is None:
-                        shard.collect(deadline, config.shard_timeout,
-                                      results)
-                    if shard.failure is not None:
-                        failures.append(shard.failure)
-            finally:
-                for shard in states:
-                    shard.close()
-                if obs is not None:
-                    obs.add("shm_bytes_written", sum(
-                        shard.encoder.bytes_written for shard in states))
-                    obs.timer("shm_encode").record(encode_ns)
-                    obs.gauge("shm_ring_hwm", hwm)
-            return failures
-
-        return runner
+        return supervisor.run(payloads)
 
     # Merge: stable event-index order, summed counters.
     def _merge(self, results, total_events: int) -> None:

@@ -19,10 +19,8 @@ processes depends on it.
 
 Plans are picklable (a callable plus a dict of tuples), so the sharded
 analyzer compiles once in the facade and ships the plan to every worker
-instead of recompiling per shard.  Under the shared-memory backend
-(:mod:`repro.core.shmem`) the plan travels exactly once per worker, in
-the pickled *init blob* that configures the shard process; the per-action
-stream that follows it through the ring is plan-free fixed-width records.
+instead of recompiling per shard: it travels once per shard, in the
+shard's pickled payload beside the object's stamped actions.
 
 Epoch point clocks
 ------------------

@@ -1,31 +1,35 @@
 """Shard supervision: tracked jobs, timeouts, bounded retry, inline fallback.
 
-The sharded pipeline's phase B used to be a bare ``pool.map``: one hung,
-killed or crashing worker took the whole analysis down with it — unfit for
-the long-lived production runs the paper's evaluation targets (H2 under
-PolePosition, Cassandra's snitch).  :class:`ShardSupervisor` replaces it
-with per-shard job tracking built around one invariant:
+The sharded pipeline's phase B runs every shard in a worker process, and
+one hung, killed or crashing worker must not take the whole analysis down
+with it — unfit for the long-lived production runs the paper's evaluation
+targets (H2 under PolePosition, Cassandra's snitch).
+:class:`ShardSupervisor` tracks each shard individually, built around one
+invariant:
 
     **a supervised run's merged race report is byte-identical to the
     fault-free run's.**
 
 That invariant is cheap to guarantee here because shard replay is *pure*:
 each attempt builds a fresh detector from the shard's payload, so attempts
-are idempotent and any successful attempt — in a pool worker or inline —
+are idempotent and any successful attempt — in a child process or inline —
 produces exactly the same triples.  Supervision therefore only decides
 *where* a shard runs, never *what* it computes:
 
-1. Every shard is submitted as an individually tracked job
-   (``apply_async``) with a per-round timeout covering hung workers *and*
-   workers that died mid-task (a killed pool worker is replaced by
-   ``multiprocessing``, but its job's result never arrives).
-2. A failed shard is retried in a fresh pool, up to
+1. Each round starts one child process per pending shard.  The payload
+   is pickled once (:meth:`ShardSupervisor.payload_blob`) and goes in as
+   the process argument; the result, or a classified failure, comes back
+   over a one-way pipe.  A pipe that closes unanswered is a dead child,
+   caught at once (``worker-raised``); a child with no answer by the
+   round's deadline is hung (``timeout``).
+2. A failed shard is retried in a fresh child, up to
    :attr:`SupervisorConfig.max_retries` times, with exponential backoff
-   between rounds.  Any round that saw a failure tears its pool down with
-   ``terminate()`` so hung or zombie attempts cannot linger.
+   between rounds.  Every round terminates and joins the children it
+   started before it returns — or propagates ``KeyboardInterrupt`` — so
+   hung or interrupted attempts cannot linger.
 3. A shard that exhausts its retries — or fails in a way retrying cannot
    fix, like a result that does not pickle — is replayed **in-process**,
-   where no pool, pipe or pickling is involved.  Graceful degradation:
+   where no child, pipe or pickling is involved.  Graceful degradation:
    slower, never wrong.
 
 Failures are recorded in the run's :class:`~repro.core.faults.FaultLog`
@@ -43,14 +47,12 @@ instead of retrying a deterministic failure.
 For deterministic robustness testing, the worker can be wrapped with a
 fault-injection plan (:attr:`SupervisorConfig.wrap`, or the
 ``REPRO_FAULT_PLAN`` environment variable consumed by
-:mod:`repro.testing.faults`); :meth:`ShardSupervisor.wrap` applies the
-same plan to a transport's own child-side job.
+:mod:`repro.testing.faults`).
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import multiprocessing.pool
 import os
 import pickle
 import time
@@ -63,16 +65,25 @@ __all__ = ["DEFAULT_SHARD_TIMEOUT", "ANALYZER_POLICIES", "QuarantinePolicy",
            "SupervisorConfig", "ShardSupervisor"]
 
 
-def _run_serialized(worker: Callable, index: int, blob: bytes,
-                    attempt: int):
-    """Pool trampoline: the payload crosses as pre-pickled bytes.
+def _run_child(worker: Callable, index: int, attempt: int, blob: bytes,
+               conn) -> None:
+    """Child-process target: run one shard attempt, answer over ``conn``.
 
-    The parent serializes each payload exactly once (and reuses the same
-    bytes verbatim on every retry); this rehydrates it worker-side.  The
-    pool still pickles the ``bytes`` object itself, but that is a flat
-    memcpy-sized frame, not a re-walk of the payload's object graph.
+    The answer is ``("ok", result)`` or ``("error", kind, detail)``; a
+    child that dies before answering closes the pipe unanswered.
     """
-    return worker(index, pickle.loads(blob), attempt)
+    try:
+        result = worker(index, pickle.loads(blob), attempt)
+        try:
+            conn.send(("ok", result))
+        except Exception as exc:
+            conn.send(("error", "result-unpicklable",
+                       f"{type(exc).__name__}: {exc}"))
+    except Exception as exc:
+        conn.send(("error", "worker-raised", f"{type(exc).__name__}: {exc}"))
+    finally:
+        conn.close()
+
 
 #: Valid fault policies for components that isolate analyzer exceptions:
 #: ``"raise"`` propagates, ``"log"`` records and keeps going, ``"disable"``
@@ -164,9 +175,10 @@ class QuarantinePolicy:
         return "continue"
 
 #: Per-round shard deadline, in seconds.  Generous — a shard replay is
-#: seconds, not minutes — because the timeout's job is to detect hung and
-#: killed workers, not to police slow ones; a shard that legitimately needs
-#: longer can raise it via ``SupervisorConfig`` / ``--shard-timeout``.
+#: seconds, not minutes — because the timeout's job is to detect hung
+#: workers (a killed one closes its pipe and is caught at once), not to
+#: police slow ones; a shard that legitimately needs longer can raise it
+#: via ``SupervisorConfig`` / ``--shard-timeout``.
 DEFAULT_SHARD_TIMEOUT = 120.0
 
 
@@ -175,9 +187,9 @@ class SupervisorConfig:
     """Supervision knobs (defaults suit offline analysis runs).
 
     ``shard_timeout`` is the per-round budget for a shard attempt;
-    ``None`` waits forever (then a killed worker's lost job would hang the
-    round, so only disable it for debugging).  ``max_retries`` bounds
-    *pool* attempts beyond the first; after ``1 + max_retries`` failed
+    ``None`` waits forever (then a hung worker would hang the round, so
+    only disable it for debugging).  ``max_retries`` bounds child-process
+    attempts beyond the first; after ``1 + max_retries`` failed
     attempts the shard is replayed inline.  Backoff before retry round
     ``n`` is ``backoff_base * backoff_factor ** n`` seconds.
 
@@ -210,7 +222,7 @@ class SupervisorConfig:
 
 
 class ShardSupervisor:
-    """Run one job per payload through a worker pool, surviving failures.
+    """Run one job per payload in child processes, surviving failures.
 
     Parameters
     ----------
@@ -219,8 +231,6 @@ class ShardSupervisor:
         (module-level so it is importable under any multiprocessing start
         method).  ``index`` and ``attempt`` are supervision bookkeeping a
         plain worker is free to ignore; the fault harness keys on them.
-    processes:
-        Pool size ceiling (each round's pool is sized to its pending jobs).
     mp_context:
         Optional start-method name (``"fork"``, ``"spawn"``...).
     config:
@@ -229,20 +239,20 @@ class ShardSupervisor:
         Optional metrics registry and fault log to record failures into
         (a fresh private :class:`FaultLog` is created when none is given).
     diagnose:
-        Optional ``(index, exc) -> Optional[Exception]`` consulted on
-        worker-side exceptions; returning an exception aborts the run by
-        raising it (used to turn raw task pickling errors into a
-        :class:`~repro.core.errors.MonitorError` naming the object).
+        Optional ``(index, exc) -> Optional[Exception]`` consulted when a
+        payload fails to pickle and when a worker raises or dies;
+        returning an exception aborts the run by raising it (used to turn
+        pickling errors into a :class:`~repro.core.errors.MonitorError`
+        naming the object).
     """
 
-    def __init__(self, worker: Callable, processes: int,
+    def __init__(self, worker: Callable,
                  mp_context: Optional[str] = None,
                  config: Optional[SupervisorConfig] = None,
                  obs=None, faults: Optional[FaultLog] = None,
                  diagnose: Optional[Callable[[int, Exception],
                                              Optional[Exception]]] = None):
         self._config = config or SupervisorConfig()
-        self._processes = max(1, processes)
         self._mp_context = mp_context
         self._obs = obs if (obs is not None and obs.enabled) else None
         self._diagnose = diagnose
@@ -255,15 +265,13 @@ class ShardSupervisor:
             # differential suite injects faults through the real CLI.
             from ..testing.faults import FaultPlan
             wrap = FaultPlan.from_env().wrap
-        self._wrap = wrap
-        self._worker = self.wrap(worker)
+        self._worker = wrap(worker) if wrap is not None else worker
         self._blobs: Dict[int, bytes] = {}
 
     # -- the supervision loop ----------------------------------------------
 
     #: Obs counter bumped per failure kind (fault records carry the precise
-    #: kind either way; unknown kinds from external round runners count as
-    #: worker errors).
+    #: kind either way).
     _FAILURE_COUNTERS = {
         "timeout": "shard_timeouts",
         "result-unpicklable": "shard_result_errors",
@@ -273,36 +281,16 @@ class ShardSupervisor:
 
     def run(self, payloads: Sequence[Any]) -> List[Any]:
         """Compute one result per payload, in payload order."""
-        return self._supervise(payloads, self._pool_round)
-
-    def run_rounds(self, payloads: Sequence[Any],
-                   round_runner: Callable) -> List[Any]:
-        """Supervise an externally provided round executor.
-
-        The shared-memory transport brings its own worker processes but
-        wants this class's retry, backoff, fault accounting and
-        inline-fallback semantics.  ``round_runner`` is called as
-        ``round_runner(payloads, jobs, results)`` with ``jobs`` a list of
-        ``(index, attempt)`` pairs; it must fill ``results``
-        for the jobs it completed and return a list of
-        ``(index, attempt, kind, detail, retryable)`` failures.  The
-        inline fallback still runs ``self._worker`` directly.
-        """
-        return self._supervise(payloads, round_runner)
-
-    def _supervise(self, payloads: Sequence[Any],
-                   round_runner: Callable) -> List[Any]:
         results: Dict[int, Any] = {}
         pending: List[Tuple[int, int]] = [(i, 0) for i in range(len(payloads))]
         degraded: List[Tuple[int, int]] = []
         round_index = 0
         while pending:
-            failures = round_runner(payloads, pending, results)
+            failures = self._round(payloads, pending, results)
             pending = []
             for index, attempt, kind, detail, retryable in failures:
                 self._record(kind, shard=index, attempt=attempt, detail=detail)
-                self._count(self._FAILURE_COUNTERS.get(
-                    kind, "shard_worker_errors"))
+                self._count(self._FAILURE_COUNTERS[kind])
                 done = attempt + 1
                 if not retryable or done > self._config.max_retries:
                     degraded.append((index, done))
@@ -314,24 +302,14 @@ class ShardSupervisor:
             round_index += 1
         for index, attempt in sorted(degraded):
             # In-process replay: same payload, same pure computation, no
-            # pool/pipe/pickle in the way — the merged report stays
+            # child/pipe/pickle in the way — the merged report stays
             # byte-identical to the fault-free run's.
             self._record("fallback", shard=index, attempt=attempt,
                          detail="shard replayed in-process after "
-                                "supervision gave up on the pool")
+                                "supervision gave up on worker processes")
             self._count("shard_fallbacks")
             results[index] = self._worker(index, payloads[index], attempt)
         return [results[index] for index in range(len(payloads))]
-
-    def wrap(self, job: Callable) -> Callable:
-        """``job`` under this run's fault plan, if one is configured.
-
-        A transport whose children run their own ``job(index, payload,
-        attempt)`` instead of the supervised worker wraps it here, so one
-        plan, keyed by shard and attempt, reaches every transport's
-        children.
-        """
-        return self._wrap(job) if self._wrap is not None else job
 
     def payload_blob(self, index: int, payload: Any) -> bytes:
         """Serialize ``payload`` once; retries reuse the identical bytes."""
@@ -348,92 +326,91 @@ class ShardSupervisor:
         self._blobs[index] = blob
         return blob
 
-    def _pool_round(self, payloads: Sequence[Any],
-                    jobs: List[Tuple[int, int]],
-                    results: Dict[int, Any]
-                    ) -> List[Tuple[int, int, str, str, bool]]:
-        """One pool generation; returns the round's failures.
+    def _round(self, payloads: Sequence[Any], jobs: List[Tuple[int, int]],
+               results: Dict[int, Any]
+               ) -> List[Tuple[int, int, str, str, bool]]:
+        """One child process per job; returns the round's failures.
 
-        Any failure dirties the round and the whole pool is ``terminate``d
-        (a timed-out job may be a hung worker still squatting on a CPU);
-        a clean round closes and joins normally.  ``KeyboardInterrupt`` —
-        or any other escaping exception — also terminates the pool before
-        propagating, so an interrupted analysis leaves no orphan workers.
+        Each child's payload is pickled (once per shard) just before the
+        child starts, so earlier children replay while later payloads
+        serialize.  ``finally`` terminates and joins every child this
+        round started — hung ones, and all of them when an exception such
+        as ``KeyboardInterrupt`` escapes — so no orphan outlives it.
         """
-        config = self._config
-        ctx = (multiprocessing.get_context(self._mp_context)
-               if self._mp_context else multiprocessing.get_context())
+        timeout = self._config.shard_timeout
+        ctx = multiprocessing.get_context(self._mp_context)
         failures: List[Tuple[int, int, str, str, bool]] = []
-        handles: List[Tuple[int, int, Any]] = []
-        submittable: List[Tuple[int, int, bytes]] = []
-        for index, attempt in jobs:
-            try:
-                blob = self.payload_blob(index, payloads[index])
-            except Exception as exc:
-                # The payload itself will not pickle — deterministic, so
-                # never retried: diagnose (usually a precise MonitorError
-                # naming the object) or degrade straight to inline.
-                diagnosed = (self._diagnose(index, exc)
-                             if self._diagnose is not None else None)
-                if diagnosed is not None:
-                    raise diagnosed from exc
-                failures.append((index, attempt, "task-unpicklable",
-                                 f"{type(exc).__name__}: {exc}", False))
-                continue
-            submittable.append((index, attempt, blob))
-        if not submittable:
-            return failures
-        pool = ctx.Pool(processes=min(self._processes, len(submittable)))
-        dirty = False
+        children: List[Tuple[int, int, Any, Any]] = []
         try:
-            handles = [
-                (index, attempt,
-                 pool.apply_async(_run_serialized,
-                                  (self._worker, index, blob, attempt)))
-                for index, attempt, blob in submittable]
-            deadline = (time.monotonic() + config.shard_timeout
-                        if config.shard_timeout is not None else None)
-            for index, attempt, handle in handles:
+            for index, attempt in jobs:
                 try:
-                    results[index] = self._await(handle, deadline)
-                except multiprocessing.TimeoutError:
-                    dirty = True
-                    failures.append((
-                        index, attempt, "timeout",
-                        f"no result within {config.shard_timeout:g}s "
-                        f"(hung or killed worker)", True))
-                except multiprocessing.pool.MaybeEncodingError as exc:
-                    # The worker finished but its *result* would not pickle.
-                    # Retrying in a pool reproduces the failure; the inline
-                    # fallback needs no pickling, so degrade immediately.
-                    dirty = True
-                    failures.append((index, attempt, "result-unpicklable",
-                                     str(exc), False))
+                    blob = self.payload_blob(index, payloads[index])
                 except Exception as exc:
-                    dirty = True
-                    diagnosed = (self._diagnose(index, exc)
-                                 if self._diagnose is not None else None)
-                    if diagnosed is not None:
-                        raise diagnosed from exc
-                    failures.append((index, attempt, "worker-raised",
-                                     f"{type(exc).__name__}: {exc}", True))
-        except BaseException:
-            pool.terminate()
-            pool.join()
-            raise
-        if dirty:
-            pool.terminate()
-        else:
-            pool.close()
-        pool.join()
+                    # The payload itself will not pickle — deterministic,
+                    # so never retried: diagnose (usually a precise
+                    # MonitorError naming the object) or degrade straight
+                    # to inline.
+                    self._raise_diagnosed(index, exc)
+                    failures.append((index, attempt, "task-unpicklable",
+                                     f"{type(exc).__name__}: {exc}", False))
+                    continue
+                conn, child_conn = ctx.Pipe(duplex=False)
+                proc = ctx.Process(
+                    target=_run_child,
+                    args=(self._worker, index, attempt, blob, child_conn),
+                    daemon=True)
+                proc.start()
+                children.append((index, attempt, proc, conn))
+                # Only the child may hold the sending end, so its death
+                # closes the pipe.
+                child_conn.close()
+            deadline = (time.monotonic() + timeout
+                        if timeout is not None else None)
+            for index, attempt, proc, conn in children:
+                try:
+                    answer = self._await(conn, deadline)
+                except (EOFError, OSError):
+                    proc.join()
+                    answer = ("error", "worker-raised",
+                              f"shard worker died (exitcode {proc.exitcode})")
+                if answer is None:
+                    failures.append((index, attempt, "timeout",
+                                     f"no result within {timeout:g}s "
+                                     f"(hung worker)", True))
+                elif answer[0] == "ok":
+                    results[index] = answer[1]
+                else:
+                    _, kind, detail = answer
+                    if kind == "worker-raised":
+                        self._raise_diagnosed(index, RuntimeError(detail))
+                    # A result that will not pickle fails the same way in
+                    # every child; only the inline fallback avoids the
+                    # pipe, so degrade at once.
+                    failures.append((index, attempt, kind, detail,
+                                     kind != "result-unpicklable"))
+        finally:
+            for _, _, proc, conn in children:
+                if proc.is_alive():
+                    proc.terminate()
+                proc.join()
+                conn.close()
         return failures
 
     @staticmethod
-    def _await(handle, deadline: Optional[float]):
-        """Wait for one job (separated out so tests can interpose)."""
-        if deadline is None:
-            return handle.get()
-        return handle.get(max(0.0, deadline - time.monotonic()))
+    def _await(conn, deadline: Optional[float]):
+        """One child's answer, or None once ``deadline`` passes (separated
+        out so tests can interpose).  Raises ``EOFError`` when the child
+        closed the pipe unanswered."""
+        remaining = (max(0.0, deadline - time.monotonic())
+                     if deadline is not None else None)
+        return conn.recv() if conn.poll(remaining) else None
+
+    def _raise_diagnosed(self, index: int, exc: Exception) -> None:
+        """Raise the caller's diagnosis of ``exc``, if it has one."""
+        diagnosed = (self._diagnose(index, exc)
+                     if self._diagnose is not None else None)
+        if diagnosed is not None:
+            raise diagnosed from exc
 
     # -- accounting --------------------------------------------------------
 

@@ -194,7 +194,6 @@ class VectorClock:
     def __reduce__(self):
         # Compact pickling for the sharded analyzer's IPC: ship only the
         # sparse entries (the cached hash is recomputed on demand).
-        # Stepped views materialize and pickle as plain VectorClocks.
         return (VectorClock, (self._mapping(),))
 
     def __repr__(self) -> str:
@@ -214,9 +213,9 @@ class _SteppedClock(VectorClock):
     synchronization window: the thread's clock equals the window's base
     snapshot everywhere except the thread's own component.  The two reads
     on the detector's hot path — ``clock[tid]`` and ``prior.leq(clock)``
-    (as the right-hand side) — never materialize; anything that needs the
-    full mapping (join, hash, pickle, repr) builds the dict once and
-    caches it in ``_entries``.
+    (as the right-hand side) — never materialize, and neither does
+    pickling; anything that needs the full mapping (join, hash, repr)
+    builds the dict once and caches it in ``_entries``.
 
     Invariants: ``base`` is never mutated after creation, and
     ``stamp > base.get(tid, 0)`` (the component really did advance), so a
@@ -302,6 +301,13 @@ class _SteppedClock(VectorClock):
 
     def thaw(self) -> "MutableVectorClock":
         return MutableVectorClock(self._mapping())
+
+    def __reduce__(self):
+        # Pickle as (base, tid, stamp), never the materialized mapping:
+        # every stamp of one synchronization window shares one base dict,
+        # so pickle's memo ships that O(threads) dict once per dumps and
+        # each further clock costs only its tid and stamp.
+        return (_SteppedClock, (self._base, self._tid, self._stamp))
 
 
 #: Sentinel for "no component diverged from the cached snapshot".  A real

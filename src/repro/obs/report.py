@@ -75,18 +75,13 @@ def scrub_timings(report: Dict[str, Any]) -> Dict[str, Any]:
                 timer[fld] = 0
         if "buckets" in timer:
             timer["buckets"] = {}
-    # Wire/ring byte volumes are environment noise the same way wall
-    # clocks are: pickle output shifts a few bytes with the hash seed
-    # (set iteration order perturbs memoization) and ring occupancy
-    # depends on scheduling.  Presence in the schema is frozen; the
-    # magnitudes are not.
+    # Wire byte volumes are environment noise the same way wall clocks
+    # are: pickle output shifts a few bytes with the hash seed (set
+    # iteration order perturbs memoization).  Presence in the schema is
+    # frozen; the magnitude is not.
     counters = scrubbed.get("stats", {}).get("counters", {})
-    for name in ("ipc_bytes_pickled", "shm_bytes_written"):
-        if name in counters:
-            counters[name] = 0
-    gauges = scrubbed.get("stats", {}).get("gauges", {})
-    if "shm_ring_hwm" in gauges:
-        gauges["shm_ring_hwm"] = 0
+    if "ipc_bytes_pickled" in counters:
+        counters["ipc_bytes_pickled"] = 0
     return scrubbed
 
 

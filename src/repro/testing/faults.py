@@ -20,12 +20,12 @@ module provides those failure points:
 
 Determinism rules: a fault fires based only on ``(shard index, attempt
 number)``, both supplied by the supervisor, so a plan replays identically
-across runs, start methods and transports.  Faults fire **only inside
-shard worker processes** — pool workers and shm children alike
-(``multiprocessing.parent_process() is not None``): the supervisor's
-in-process fallback and the inline sharding path stay clean,
-which is precisely the recovery behavior under test — and it keeps an
-over-scheduled ``exit`` fault from killing the test runner itself.
+across runs and start methods.  Faults fire **only inside shard worker
+processes** (``multiprocessing.parent_process() is not None``): the
+supervisor's in-process fallback and the inline sharding path stay
+clean, which is precisely the recovery behavior under test — and it
+keeps an over-scheduled ``exit`` fault from killing the test runner
+itself.
 """
 
 from __future__ import annotations
@@ -57,10 +57,9 @@ class Unpicklable:
     """An object that refuses to cross a process boundary.
 
     Returned by a ``bad-result`` fault: the worker computes it fine, the
-    result pipe cannot encode it, and the parent sees
-    ``MaybeEncodingError`` from a pool (a ``result-unpicklable`` report
-    from an shm child) — the exact failure shape of a detector whose race
-    reports captured something unpicklable.
+    result pipe cannot encode it, and the child reports
+    ``result-unpicklable`` instead — the exact failure shape of a detector
+    whose race reports captured something unpicklable.
     """
 
     def __reduce__(self):
@@ -73,7 +72,7 @@ class FaultSpec:
 
     The fault fires on attempts ``0 .. times-1`` and the shard behaves
     normally from attempt ``times`` on, so ``times`` directly selects the
-    recovery path: ``times <= max_retries`` recovers via pool retry,
+    recovery path: ``times <= max_retries`` recovers via retry,
     anything larger pushes the shard to the in-process fallback.
     ``seconds`` is the ``hang`` sleep; ``exit_code`` the ``exit`` status.
     """
@@ -185,9 +184,9 @@ class FaultPlan:
 class FaultyWorker:
     """A supervised worker wrapped with a :class:`FaultPlan`.
 
-    Picklable whenever the wrapped worker is (both transports' shard jobs
-    are module-level functions), so it ships to pool workers and shm
-    children under ``fork`` and ``spawn`` alike.  The attempt number comes
+    Picklable whenever the wrapped worker is (the shard job is a
+    module-level function), so it ships to shard worker processes under
+    ``fork`` and ``spawn`` alike.  The attempt number comes
     from the supervisor, so "fail twice then succeed" needs no
     cross-process shared state.
     """

@@ -1,10 +1,10 @@
-"""Engine × backend equivalence, anchored on the literal detector.
+"""Engine equivalence, anchored on the literal detector.
 
 Algorithm 1 exists once — an ENUMERATE loop over compiled plans and a SCAN
 loop for everything else — so what varies is the *engine* that drives it:
 the sequential detector, the sharded pipeline inline (``workers=1``) or
-over two workers on each transport the host offers, and the
-streaming analyzer with maintenance windows and pruning.  On the 40-seed
+over two worker processes, and the streaming analyzer with maintenance
+windows and pruning.  On the 40-seed
 randomized multi-object corpus two checks anchor the matrix:
 
 1. every engine's race reports are byte-identical to the sequential
@@ -24,7 +24,6 @@ import os
 
 import pytest
 
-from repro.core.backend import shm_available
 from repro.core.detector import CommutativityRaceDetector, Strategy
 from repro.core.parallel import ShardedDetector
 from repro.core.stream import StreamAnalyzer
@@ -75,7 +74,6 @@ def assert_matches_sequential(factory, seeds=CORPUS_SEEDS, **kw):
         engine = run_detector(trace, bindings, factory, **kw)
         assert reports(engine) == reports(reference), seed
         assert engine.stats.races == reference.stats.races, seed
-    return engine
 
 
 class TestDirectReference:
@@ -103,35 +101,27 @@ class TestEngineEquivalence:
                                       prune_interval=3)
 
 
-# Two-worker transport legs, each pinned by name.
-BACKEND_AXES = [
-    "pickle",
-    pytest.param("shm", marks=pytest.mark.skipif(
-        not shm_available(), reason="no shared memory on this host")),
-]
-
-
-@pytest.mark.parametrize("backend", BACKEND_AXES)
+# The two-worker leg, pinned by the transport's name.
+@pytest.mark.parametrize("backend", ["pickle"])
 class TestBackendEquivalence:
-    """The execution backend must be invisible, byte for byte."""
+    """The process boundary must be invisible, byte for byte."""
 
     def test_byte_identical_to_sequential_reference(self, backend):
-        det = assert_matches_sequential(ShardedDetector, workers=2,
-                                        backend=backend)
-        assert det.backend.selected == backend, det.backend
+        assert_matches_sequential(ShardedDetector, workers=2,
+                                  backend=backend)
 
     def test_stats_match_the_pickle_backend(self, backend):
-        # Same transport-invisibility claim for the counters: whatever
-        # crosses the process boundary, the detector work is identical.
+        # Same invisibility claim for the counters: whatever crosses the
+        # process boundary, the detector work equals the inline pipeline's.
         for seed in list(CORPUS_SEEDS)[:6]:
             program = random_multi_object_program(seed)
             trace, bindings = build_multi_object_trace(program)
-            pickled = run_detector(trace, bindings, ShardedDetector,
-                                   workers=2, backend="pickle")
-            other = run_detector(trace, bindings, ShardedDetector,
-                                 workers=2, backend=backend)
-            assert other.races == pickled.races
-            assert other.stats == pickled.stats
+            inline = run_detector(trace, bindings, ShardedDetector,
+                                  workers=1)
+            shipped = run_detector(trace, bindings, ShardedDetector,
+                                   workers=2, backend=backend)
+            assert shipped.races == inline.races
+            assert shipped.stats == inline.stats
 
 
 @pytest.mark.parametrize("factory", [CommutativityRaceDetector,

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.vector_clock import (BOTTOM, MutableVectorClock, VectorClock)
+from repro.core.vector_clock import (BOTTOM, MutableVectorClock, VectorClock,
+                                     _SteppedClock)
 
 clocks = st.dictionaries(st.integers(min_value=0, max_value=5),
                          st.integers(min_value=0, max_value=8),
@@ -221,15 +222,24 @@ class TestCopyOnWriteFreeze:
         assert stepped.inc(3) == plain.inc(3)
         assert stepped.thaw() == plain.thaw()
 
-    def test_stepped_view_pickles_as_plain_clock(self):
+    def test_stepped_view_pickles_as_base_and_stamp(self):
         clock = MutableVectorClock({1: 1})
         clock.freeze()
         clock.inc_in_place(1)
         stepped = clock.freeze()
         revived = pickle.loads(pickle.dumps(stepped))
-        assert type(revived) is VectorClock
+        assert type(revived) is _SteppedClock
         assert revived == stepped
         assert hash(revived) == hash(stepped)
+        # Stamps of one window share one base dict, and so do their
+        # revived copies: pickle's memo ships the base once per dumps.
+        clock.inc_in_place(1)
+        first, second = pickle.loads(pickle.dumps([stepped, clock.freeze()]))
+        assert first._base is second._base
+        wide = MutableVectorClock({tid: 1 for tid in range(768)})
+        wide.freeze()
+        stamps = [wide.stamp_next(0) for _ in range(100)]
+        assert len(pickle.dumps(stamps)) < 2 * len(pickle.dumps(stamps[0]))
 
     def test_cross_component_join_invalidates(self):
         clock = MutableVectorClock({1: 1})

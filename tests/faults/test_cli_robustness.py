@@ -3,8 +3,7 @@
 Every bad invocation must produce exactly one ``repro-analyze: error:``
 line on stderr and the documented exit code — never an argparse usage
 dump or a traceback — and Ctrl-C must exit 130 leaving valid partial
-observability output, no orphan worker processes and no leaked
-shared-memory segments, on either shard transport.
+observability output and no orphan worker processes.
 """
 
 import json
@@ -13,10 +12,7 @@ import multiprocessing
 import pytest
 
 from repro.cli import (EXIT_DATA, EXIT_INTERRUPT, EXIT_USAGE, main)
-from repro.core import backend, parallel
 from repro.core.supervise import ShardSupervisor
-
-from tests.support import shm_entries
 
 TRACE = "tests/data/multi_object_mixed.jsonl"
 OBJECTS = ["--object", "a=accumulator", "--object", "d=dictionary",
@@ -100,41 +96,20 @@ def interrupt(*args):
     raise KeyboardInterrupt
 
 
-def interrupting_feed(encoder, objects):
-    raise KeyboardInterrupt
-    yield  # a generator, like feed_shard: it raises inside the feed loop
-
-
-def assert_interrupt_cleans_up(tmp_path, capsys):
-    """Ctrl-C during the fan-out: exit 130, workers and rings torn down
-    (no orphans), and the partial --spans file is still line-valid
+def test_keyboard_interrupt_exits_130_with_valid_spans(monkeypatch,
+                                                       tmp_path, capsys):
+    """Ctrl-C while awaiting a shard: exit 130, worker processes torn
+    down (no orphans), and the partial --spans file is still line-valid
     JSONL."""
-    before = shm_entries()
+    monkeypatch.setattr(ShardSupervisor, "_await", staticmethod(interrupt))
     spans = tmp_path / "spans.jsonl"
     code = main([TRACE, *OBJECTS, "--workers", "2",
                  "--spans", str(spans)])
     assert code == EXIT_INTERRUPT
     assert "interrupted" in capsys.readouterr().err
     assert not multiprocessing.active_children()
-    assert shm_entries() <= before
     lines = spans.read_text().strip().splitlines()
     assert lines  # the load/stamp spans completed before the interrupt
     for line in lines:
         record = json.loads(line)  # every line parses: valid JSONL
         assert {"name", "dur_ns"} <= record.keys()
-
-
-def test_keyboard_interrupt_exits_130_with_valid_spans(monkeypatch,
-                                                       tmp_path, capsys):
-    # Interrupt the default transport, whichever the host picked: the shm
-    # rings in their feed loop, the pickle pool while awaiting a job.
-    monkeypatch.setattr(parallel, "feed_shard", interrupting_feed)
-    monkeypatch.setattr(ShardSupervisor, "_await", staticmethod(interrupt))
-    assert_interrupt_cleans_up(tmp_path, capsys)
-
-
-def test_keyboard_interrupt_tears_the_pickle_pool_down(monkeypatch,
-                                                       tmp_path, capsys):
-    monkeypatch.setattr(backend, "_SHM_PROBE", False)
-    monkeypatch.setattr(ShardSupervisor, "_await", staticmethod(interrupt))
-    assert_interrupt_cleans_up(tmp_path, capsys)

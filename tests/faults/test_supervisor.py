@@ -8,6 +8,7 @@ fault log and obs counters.
 """
 
 import multiprocessing
+import time
 
 import pytest
 
@@ -24,19 +25,19 @@ EXPECT = [("ok", 0, "a"), ("ok", 1, "b")]
 
 
 def supervisor(worker=echo, plan=None, retries=2, timeout=60.0, obs=None,
-               faults=None, diagnose=None, processes=2):
+               faults=None, diagnose=None):
     config = SupervisorConfig(
         shard_timeout=timeout, max_retries=retries, backoff_base=0.0,
         wrap=plan.wrap if plan is not None else None)
-    return ShardSupervisor(worker, processes=processes,
-                           mp_context=START_METHOD, config=config, obs=obs,
-                           faults=faults, diagnose=diagnose)
+    return ShardSupervisor(worker, mp_context=START_METHOD, config=config,
+                           obs=obs, faults=faults, diagnose=diagnose)
 
 
 def test_fault_free_run_in_payload_order():
     sup = supervisor()
     assert sup.run(["a", "b"]) == EXPECT
     assert not sup.faults
+    assert not multiprocessing.active_children()
 
 
 def test_worker_exception_retried_then_succeeds():
@@ -72,16 +73,20 @@ def test_hung_worker_times_out_and_recovers():
     assert sup.run(["a", "b"]) == EXPECT
     assert sup.faults.count(kind="timeout") == 1
     assert sup.faults.count(kind="fallback") == 1
+    assert not multiprocessing.active_children()  # the hung child is reaped
 
 
-def test_killed_worker_surfaces_as_timeout_then_retries():
-    # os._exit takes the worker down without an exception; the pool
-    # replaces the process but the job's result is simply never coming,
-    # which only the shard deadline can detect.
+def test_killed_worker_is_caught_at_once_then_retries():
+    # os._exit takes the worker down without an exception or an answer;
+    # its result pipe closes unanswered, which the round sees at once —
+    # long before the generous shard deadline.
     plan = FaultPlan.build({0: FaultSpec("exit", times=1)})
-    sup = supervisor(plan=plan, retries=1, timeout=FAST_TIMEOUT)
+    sup = supervisor(plan=plan, retries=1, timeout=60.0)
+    start = time.monotonic()
     assert sup.run(["a", "b"]) == EXPECT
-    assert sup.faults.count(kind="timeout") == 1
+    assert time.monotonic() - start < 10.0
+    assert sup.faults.count(kind="worker-raised") == 1
+    assert sup.faults.count(kind="timeout") == 0
     assert sup.faults.count(kind="fallback") == 0  # retry succeeded
 
 
@@ -124,11 +129,29 @@ def test_diagnose_turns_worker_error_into_callers_exception():
 
 
 def test_keyboard_interrupt_terminates_pool_without_orphans(monkeypatch):
-    def interrupt(handle, deadline):
+    def interrupt(conn, deadline):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(ShardSupervisor, "_await", staticmethod(interrupt))
     sup = supervisor()
+    with pytest.raises(KeyboardInterrupt):
+        sup.run(["a", "b"])
+    assert not multiprocessing.active_children()
+
+
+def test_interrupt_between_child_starts_leaves_no_orphans(monkeypatch):
+    # Shard 0's child is running when serializing shard 1 is interrupted:
+    # the round must still terminate and join the child it started.
+    original = ShardSupervisor.payload_blob
+
+    def interrupt_second(self, index, payload):
+        if index == 1:
+            raise KeyboardInterrupt
+        return original(self, index, payload)
+
+    monkeypatch.setattr(ShardSupervisor, "payload_blob", interrupt_second)
+    sup = supervisor(plan=FaultPlan.build({0: FaultSpec(
+        "hang", times=99, seconds=HANG_SECONDS)}))
     with pytest.raises(KeyboardInterrupt):
         sup.run(["a", "b"])
     assert not multiprocessing.active_children()
@@ -181,7 +204,7 @@ def test_payload_blob_is_cached_per_index():
 
 
 def test_unpicklable_task_degrades_or_diagnoses():
-    # A payload that cannot pickle can never reach a pool worker; the
+    # A payload that cannot pickle can never reach a worker process; the
     # supervisor must complete it via the inline fallback (no retries)
     # — or raise the caller's diagnosis when one is installed.
     sup = supervisor()

@@ -13,7 +13,7 @@ corpora from ``tests.support``:
   churn (dead clock components inside carried epochs, so deflation and
   pruning do real work).
 
-Two checks, as in the engine × backend matrix:
+Two checks, as in the engine equivalence matrix:
 
 1. each engine's race reports are byte-identical (clocks and order) to
    the sequential detector's — and the sharded engines' counters match
@@ -39,7 +39,7 @@ from tests.support import (build_contention_trace, build_multi_object_trace,
 SEEDS = range(120)
 
 # The CI matrix reruns this suite under both multiprocessing start
-# methods; the pool engine honours the selection.
+# methods; the two-worker ("sharded-pool") engine honours the selection.
 START_METHOD = os.environ.get("REPRO_TEST_START_METHOD") or None
 
 CORPORA = {

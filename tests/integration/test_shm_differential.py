@@ -1,32 +1,29 @@
-"""Differential fleet: the shm backend ≡ sequential, fork and spawn.
+"""Differential fleet: the shard transport ≡ sequential, fork and spawn.
 
-The equivalence matrix proves the backend axes under whatever start
-method CI selected for the whole run; this suite pins the shm transport
+The equivalence matrix proves the two-worker leg under whatever start
+method CI selected for the whole run; this suite pins the shard transport
 under **both** start methods explicitly, in one process, because the two
-fail differently: fork shares the resource-tracker (double-unlink bugs),
-spawn re-imports everything (pickling bugs in the init payload, ring
-re-attachment by name).  Plus the seeded fleets the issue asks for:
-byte-identical reports with pruning composed in, fault-free supervision,
-and the IPC observability counters the backend promises.
+fail differently: fork inherits the parent's memory, spawn re-imports
+everything and unpickles every payload (pickling bugs in stamped clocks,
+plans or registrations).  Plus seeded fleets: byte-identical reports with
+pruning composed in, fault-free supervision, and the IPC observability
+counters the transport promises.
 """
 
 import multiprocessing
-import pickle
 
 import pytest
 
-from repro.core import parallel
-from repro.core.backend import shm_available
 from repro.core.detector import CommutativityRaceDetector
+from repro.core.events import NIL
 from repro.core.parallel import ShardedDetector
+from repro.core.trace import TraceBuilder
 from repro.obs import Registry
+from repro.specs.dictionary import dictionary_representation
 
 from tests.support import (build_multi_object_trace,
                            random_multi_object_program, race_snapshot,
                            register_bindings)
-
-pytestmark = pytest.mark.skipif(not shm_available(),
-                                reason="no shared memory on this host")
 
 START_METHODS = [
     pytest.param(method, marks=pytest.mark.skipif(
@@ -42,10 +39,10 @@ def reference_snapshots(trace, bindings):
     return [race_snapshot(race) for race in detector.races]
 
 
-def run_shm(trace, bindings, mp_context, **kw):
+def run_sharded(trace, bindings, mp_context, **kw):
     detector = register_bindings(
-        ShardedDetector(root=0, workers=2, backend="shm",
-                        mp_context=mp_context, **kw), bindings)
+        ShardedDetector(root=0, workers=2, mp_context=mp_context, **kw),
+        bindings)
     detector.run(trace)
     return detector
 
@@ -59,8 +56,7 @@ class TestShmDifferential:
             program = random_multi_object_program(seed, max_ops=60)
             trace, bindings = build_multi_object_trace(program)
             want = reference_snapshots(trace, bindings)
-            det = run_shm(trace, bindings, mp_context)
-            assert det.backend.selected == "shm"
+            det = run_sharded(trace, bindings, mp_context)
             assert [race_snapshot(r) for r in det.races] == want, seed
             assert not det.faults.records()
             nonempty += bool(want)
@@ -71,22 +67,29 @@ class TestShmDifferential:
             program = random_multi_object_program(seed, max_ops=60)
             trace, bindings = build_multi_object_trace(program)
             want = reference_snapshots(trace, bindings)
-            det = run_shm(trace, bindings, mp_context, prune_interval=7)
+            det = run_sharded(trace, bindings, mp_context,
+                              prune_interval=7)
             assert [race_snapshot(r) for r in det.races] == want, seed
 
-    def test_tiny_rings_block_but_never_corrupt(self, mp_context,
-                                                monkeypatch):
-        """Force constant producer stalls: rings two slots deep must
-        still deliver byte-identical reports — wraparound and
-        backpressure under a real consumer process."""
-        monkeypatch.setattr(parallel, "DEFAULT_RING_SLOTS", 2)
-        monkeypatch.setattr(parallel, "DEFAULT_SIDE_BYTES", 512)
-        program = random_multi_object_program(9, max_ops=60)
-        trace, bindings = build_multi_object_trace(program)
-        want = reference_snapshots(trace, bindings)
-        det = run_shm(trace, bindings, mp_context)
-        assert [race_snapshot(r) for r in det.races] == want
-        assert not det.faults.records()
+
+def fanout_trace(width, actions=400):
+    """``width`` helper threads join the root, widening every later clock;
+    then two threads split ``actions`` puts over objects x and y, each
+    stamping all its actions within one synchronization window."""
+    builder = TraceBuilder(root=0)
+    helpers = range(1, width + 1)
+    for tid in helpers:
+        builder.fork(0, tid)
+    for tid in helpers:
+        builder.acquire(tid, tid).release(tid, tid)
+    for tid in helpers:
+        builder.join(0, tid)
+    left, right = width + 1, width + 2
+    builder.fork(0, left).fork(0, right)
+    for step in range(actions // 2):
+        builder.invoke(left, "x", "put", step, step, returns=NIL)
+        builder.invoke(right, "y", "put", step, step, returns=NIL)
+    return builder.build()
 
 
 class TestShmObservability:
@@ -94,32 +97,26 @@ class TestShmObservability:
         program = random_multi_object_program(9, max_ops=60)
         trace, bindings = build_multi_object_trace(program)
         obs = Registry(enabled=True)
-        det = run_shm(trace, bindings, "fork", obs=obs)
+        run_sharded(trace, bindings, "fork", obs=obs)
         snap = obs.snapshot()
-        # The init payloads are the only pickle the shm backend pays.
+        # Shard payloads are pickled, and nothing else crosses.
         assert snap["counters"]["ipc_bytes_pickled"] > 0
-        assert snap["counters"]["shm_bytes_written"] > 0
-        assert snap["gauges"]["shm_ring_hwm"] > 0
-        assert snap["timers"]["shm_encode"]["count"] >= 1
-        # Sanity: the per-action stream dwarfs the one-shot init pickle
-        # on any non-trivial trace.
-        assert det.races is not None
+        assert snap["timers"]["ipc_serialize"]["count"] >= 1
+        for kind in ("counters", "gauges", "timers"):
+            assert not [name for name in snap[kind]
+                        if name.startswith("shm_")], kind
 
-    def test_init_payload_pickles_exclude_actions(self):
-        """The zero-pickle claim, stated as bytes: the pickled init blob
-        must not grow with the trace, only the ring traffic may."""
+    def test_payload_ships_each_clock_base_once(self):
+        """Same action count, 16× wider clocks: the pickled payloads grow
+        by a base per window, not by the width on every action."""
         volumes = {}
-        for ops in (80, 320):
-            program = random_multi_object_program(4, max_ops=ops)
-            trace, bindings = build_multi_object_trace(program)
+        for width in (16, 256):
             obs = Registry(enabled=True)
-            run_shm(trace, bindings, "fork", obs=obs)
-            snap = obs.snapshot()["counters"]
-            volumes[ops] = (snap["ipc_bytes_pickled"],
-                            snap["shm_bytes_written"])
-        pickled_small, shm_small = volumes[80]
-        pickled_big, shm_big = volumes[320]
-        assert shm_big > shm_small
-        # Init payload: registrations + knobs, independent of event count
-        # (allow slack for prune snapshots and pickle framing).
-        assert pickled_big < pickled_small * 2
+            det = ShardedDetector(root=0, workers=2, obs=obs,
+                                  mp_context="fork")
+            for obj in ("x", "y"):
+                det.register_object(obj, dictionary_representation())
+            det.run(fanout_trace(width))
+            volumes[width] = obs.snapshot()["counters"]["ipc_bytes_pickled"]
+        assert volumes[256] > volumes[16]
+        assert volumes[256] < 2 * volumes[16]

@@ -13,10 +13,11 @@ import time
 
 import pytest
 
-from repro.core.backend import shm_available
 from repro.service import ControlClient, ServiceClient
 from repro.service.chaos import offline_race_lines
 from repro.testing.workloads import tenant_trace_text
+
+from tests.support import shm_available
 
 pytestmark = pytest.mark.skipif(not shm_available(),
                                 reason="no shared memory on this host")

@@ -8,7 +8,6 @@ any bundled object kind.
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Dict, List, Tuple
 
@@ -366,10 +365,15 @@ def sample_actions(kind: str, count: int = 60, seed: int = 13,
     return actions
 
 
-def shm_entries() -> set:
-    """Names of the shared-memory segments alive on this host (empty where
-    there is no ``/dev/shm``), to assert a run leaked none."""
+def shm_available() -> bool:
+    """Can this host create a shared-memory segment?  Some sandboxes mount
+    ``/dev/shm`` read-only or not at all; the service's shm ingest tests
+    skip there."""
+    from multiprocessing import shared_memory
     try:
-        return set(os.listdir("/dev/shm"))
-    except OSError:
-        return set()
+        segment = shared_memory.SharedMemory(create=True, size=1)
+    except Exception:
+        return False
+    segment.close()
+    segment.unlink()
+    return True

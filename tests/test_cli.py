@@ -125,14 +125,11 @@ class TestWorkersFlag:
 
 
 class TestBackendFlag:
-    """The host picks the shard transport; the CLI only reports a
-    fallback, and takes no flag for it."""
+    """One shard transport: the CLI takes no flag for it and says nothing
+    about it."""
 
     def test_shm_backend_reports_the_same_races(self, racy_trace_file,
                                                 capsys):
-        import repro.core.backend as backend_mod
-        if not backend_mod.shm_available():
-            pytest.skip("no shared memory on this host")
         sequential = main([racy_trace_file, "--object", "o=dictionary"])
         seq_out = capsys.readouterr().out
         sharded = main([racy_trace_file, "--object", "o=dictionary",
@@ -141,18 +138,7 @@ class TestBackendFlag:
         assert sharded == sequential == 1
         assert (seq_out.replace("rd2:", "rd2 [2 workers]:")
                 == captured.out)
-        assert "backend" not in captured.err
-
-    def test_fallback_is_announced_on_stderr(self, racy_trace_file,
-                                             monkeypatch, capsys):
-        import repro.core.backend as backend_mod
-        monkeypatch.setattr(backend_mod, "_SHM_PROBE", False)
-        code = main([racy_trace_file, "--object", "o=dictionary",
-                     "--workers", "2"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.splitlines() == [
-            "backend: pickle (shared memory unavailable on this host)"]
+        assert captured.err == ""
 
     def test_backend_flag_is_rejected(self, racy_trace_file, capsys):
         for value in ("shm", "pickle"):
