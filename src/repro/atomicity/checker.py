@@ -29,9 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import Dict, Hashable, Iterator, List, Set, Tuple
 
 from ..core.access_points import AccessPointRepresentation
 from ..core.events import Event, EventKind, ObjectId
@@ -66,7 +64,6 @@ class AtomicityReport:
     """Everything :meth:`AtomicityChecker.analyze` discovered."""
 
     transactions: List[Transaction]
-    graph: "nx.DiGraph"
     violations: List[AtomicityViolation]
     conflict_edges: int = 0
 
@@ -153,9 +150,10 @@ class AtomicityChecker:
             for event in txn.events:
                 txn_of_event[event.index] = txn
 
-        graph = nx.DiGraph()
-        for txn in transactions:
-            graph.add_node(txn.txn_id, transaction=txn)
+        # Successor sets as insertion-ordered dicts: O(1) edge lookup.
+        succ: Dict[int, Dict[int, None]] = {
+            txn.txn_id: {} for txn in transactions}
+        by_id = {txn.txn_id: txn for txn in transactions}
 
         edges = 0
 
@@ -163,8 +161,9 @@ class AtomicityChecker:
             nonlocal edges
             if earlier.txn_id == later.txn_id:
                 return
-            if not graph.has_edge(earlier.txn_id, later.txn_id):
-                graph.add_edge(earlier.txn_id, later.txn_id)
+            out = succ[earlier.txn_id]
+            if later.txn_id not in out:
+                out[later.txn_id] = None
                 edges += 1
 
         # Program order: consecutive transactions of the same thread.
@@ -196,16 +195,14 @@ class AtomicityChecker:
                 bucket.append((txn, (resource, token)))
 
         violations = []
-        for component in nx.strongly_connected_components(graph):
+        for component in _strongly_connected_components(succ):
             if len(component) < 2:
                 continue
-            members = sorted(component)
-            cycle = tuple(graph.nodes[node]["transaction"]
-                          for node in members)
+            cycle = tuple(by_id[node] for node in sorted(component))
             if any(not txn.unary for txn in cycle):
                 violations.append(AtomicityViolation(cycle=cycle))
         violations.sort(key=lambda v: v.cycle[0].txn_id)
-        return AtomicityReport(transactions=transactions, graph=graph,
+        return AtomicityReport(transactions=transactions,
                                violations=violations, conflict_edges=edges)
 
     def _resource_key(self, resource) -> Hashable:
@@ -228,3 +225,52 @@ class AtomicityChecker:
         if res1 != res2:
             return False
         return self._tokens_conflict(res1, token1, token2)
+
+
+def _strongly_connected_components(
+        succ: Dict[int, Dict[int, None]]) -> List[List[int]]:
+    """Tarjan's algorithm with an explicit stack.
+
+    Recursion would overflow on one thread's program-order chain of more
+    than ~1,000 transactions.
+    """
+    index: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    stack: List[int] = []
+    on_stack: Set[int] = set()
+    work: List[Tuple[int, Iterator[int]]] = []
+    components: List[List[int]] = []
+
+    def enter(node: int) -> None:
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        work.append((node, iter(succ[node])))
+
+    for root in succ:
+        if root in index:
+            continue
+        enter(root)
+        while work:
+            node, children = work[-1]
+            for child in children:
+                if child not in index:
+                    enter(child)
+                    break
+                if child in on_stack:
+                    low[node] = min(low[node], index[child])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components

@@ -13,19 +13,15 @@ concretely, when an added edge ``A → B`` finds ``B`` already able to reach
 ``A`` (a reachability query over the running graph, memoized per check).
 
 Unlike Velodrome's highly-optimized union of in-degrees, this keeps the
-graph explicit (networkx) and does on-demand reachability — asymptotically
-heavier but transparent, and still processing the evaluation workloads in
-milliseconds.  Completed transactions with no path to any live transaction
-are garbage-collected, mirroring Velodrome's "finished and safe" node
-reclamation.
+graph explicit (successor and predecessor dicts) and does on-demand
+reachability — asymptotically heavier but transparent, and still
+processing the evaluation workloads in milliseconds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Set, Tuple
-
-import networkx as nx
 
 from ..core.events import Event, EventKind, ObjectId
 from ..core.races import RaceReport
@@ -35,6 +31,11 @@ from .checker import AtomicityChecker, AtomicityViolation, ConflictMode
 from .transactions import Transaction
 
 __all__ = ["OnlineAtomicityViolation", "AtomicityAnalyzer"]
+
+#: node -> its neighbours, in the order the edges were added
+_Adjacency = Dict[int, Dict[int, None]]
+#: BFS tree of one search side: node -> the node it was reached from
+_Links = Dict[int, Optional[int]]
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,11 @@ class AtomicityAnalyzer(Analyzer):
                  include_sync: bool = True, keep_reports: bool = True):
         self._conflicts = AtomicityChecker(mode, include_sync=include_sync)
         self._keep_reports = keep_reports
-        self._graph = nx.DiGraph()
-        self._next_txn = 0
+        # Transactions by id (ids count up from 0) and the graph's edges,
+        # both directions, as insertion-ordered dicts.
+        self._txns: List[Transaction] = []
+        self._succ: _Adjacency = {}
+        self._pred: _Adjacency = {}
         self._open: Dict[Tid, Transaction] = {}
         self._last_of_thread: Dict[Tid, Transaction] = {}
         self._touches: Dict[Hashable, List] = {}
@@ -106,12 +110,13 @@ class AtomicityAnalyzer(Analyzer):
     # -- graph maintenance ---------------------------------------------------------
 
     def _fresh_transaction(self, tid: Tid, unary: bool) -> Transaction:
-        txn = Transaction(txn_id=self._next_txn, tid=tid, unary=unary)
-        self._next_txn += 1
-        self._graph.add_node(txn.txn_id, transaction=txn)
+        txn = Transaction(txn_id=len(self._txns), tid=tid, unary=unary)
+        self._txns.append(txn)
+        self._succ[txn.txn_id] = {}
+        self._pred[txn.txn_id] = {}
         previous = self._last_of_thread.get(tid)
         if previous is not None:
-            self._graph.add_edge(previous.txn_id, txn.txn_id)
+            self._link(previous.txn_id, txn.txn_id)
         self._last_of_thread[tid] = txn
         return txn
 
@@ -130,20 +135,21 @@ class AtomicityAnalyzer(Analyzer):
 
     def _add_edge(self, earlier: Transaction, later: Transaction,
                   event: Event) -> None:
-        if self._graph.has_edge(earlier.txn_id, later.txn_id):
+        if later.txn_id in self._succ[earlier.txn_id]:
             return
         # Cycle check before insertion: does `earlier` already follow
         # `later`?  Then this edge closes a cycle.
-        if nx.has_path(self._graph, later.txn_id, earlier.txn_id):
-            path = nx.shortest_path(self._graph, later.txn_id,
-                                    earlier.txn_id)
-            cycle = [self._graph.nodes[node]["transaction"]
-                     for node in path]
-            self._graph.add_edge(earlier.txn_id, later.txn_id)
+        path = _shortest_path(self._succ, self._pred, later.txn_id,
+                              earlier.txn_id)
+        self._link(earlier.txn_id, later.txn_id)
+        if path is not None:
+            cycle = [self._txns[node] for node in path]
             if any(not node.unary for node in cycle):
                 self._report(cycle, event)
-            return
-        self._graph.add_edge(earlier.txn_id, later.txn_id)
+
+    def _link(self, source: int, target: int) -> None:
+        self._succ[source][target] = None
+        self._pred[target][source] = None
 
     def _report(self, cycle: List[Transaction], event: Event) -> None:
         key = frozenset(txn.txn_id for txn in cycle)
@@ -156,3 +162,59 @@ class AtomicityAnalyzer(Analyzer):
         self.violation_count += 1
         if self._keep_reports:
             self.violations.append(violation)
+
+
+def _shortest_path(succ: _Adjacency, pred: _Adjacency, source: int,
+                   target: int) -> Optional[List[int]]:
+    """A shortest ``source → target`` path, or None if there is none.
+
+    Bidirectional BFS: it expands the smaller fringe (forward on ties)
+    and scans neighbours in insertion order.  Which of several
+    equal-length paths comes back decides the reported cycle labels and,
+    through the dedup key, the violation count; a plain forward BFS
+    would pick differently.
+    """
+    if source == target:
+        return [source]
+    before: _Links = {source: None}
+    after: _Links = {target: None}
+    forward, backward = [source], [target]
+    while forward and backward:
+        if len(forward) <= len(backward):
+            forward, meet = _expand(forward, succ, before, after)
+        else:
+            backward, meet = _expand(backward, pred, after, before)
+        if meet is not None:
+            return _join(before, after, meet)
+    return None
+
+
+def _expand(fringe: List[int], adjacency: _Adjacency, links: _Links,
+            other: _Links) -> Tuple[List[int], Optional[int]]:
+    """One BFS level from ``fringe``: the next fringe, and the first node
+    the other side has already reached (None if there is none yet)."""
+    level: List[int] = []
+    for node in fringe:
+        for neighbour in adjacency[node]:
+            if neighbour not in links:
+                links[neighbour] = node
+                level.append(neighbour)
+            if neighbour in other:
+                return level, neighbour
+    return level, None
+
+
+def _join(before: _Links, after: _Links, meet: int) -> List[int]:
+    """The path through ``meet``: back-links to the source, reversed,
+    then forward links to the target."""
+    path = []
+    node: Optional[int] = meet
+    while node is not None:
+        path.append(node)
+        node = before[node]
+    path.reverse()
+    node = after[meet]
+    while node is not None:
+        path.append(node)
+        node = after[node]
+    return path

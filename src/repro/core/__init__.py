@@ -18,9 +18,6 @@ from .events import (NIL, Action, Event, EventKind, Nil, ObjectId,
 from .hb import HappensBeforeTracker
 from .oracle import CommutativityOracle, RacingPair
 from .parallel import ShardedDetector, partition_by_load
-from .graph import (concurrency_matrix, critical_path,
-                    happens_before_graph, parallelism_profile,
-                    racing_context)
 from .races import (CommutativityRace, DataRace, LocksetWarning, RaceGroup,
                     RaceReport, RaceTally, group_races, tally)
 from .serialize import (TailReader, dump_trace, dumps_trace, follow_trace,
@@ -48,8 +45,6 @@ __all__ = [
     "ShardedDetector", "partition_by_load",
     "CommutativityRace", "DataRace", "LocksetWarning", "RaceGroup",
     "RaceReport", "RaceTally", "group_races", "tally",
-    "concurrency_matrix", "critical_path", "happens_before_graph",
-    "parallelism_profile", "racing_context",
     "dump_trace", "dumps_trace", "load_trace", "loads_trace",
     "TailReader", "follow_trace",
     "FollowStatus", "StreamAnalyzer", "follow_analyze",

@@ -286,14 +286,12 @@ class ShardedDetector:
         is; anything else is a :class:`ValueError`.
     predict_window:
         When > 0, a predictive pass (:mod:`repro.core.predict`) runs
-        after the merge: per-object candidate pairs fan out over the
-        same greedy load split as phase B (thread pool — candidate
-        resolution is pure Python over the shared immutable dependence
-        index) and validated predictions land in :attr:`predicted`,
-        sorted by original-index pair so every worker count agrees byte
-        for byte.  Incompatible with checkpoint/resume
-        (the event log prediction needs is not part of the checkpoint
-        format).
+        after the merge: one predictor over the stamped log, in this
+        process, whatever ``workers`` is.  Validated predictions land in
+        :attr:`predicted`, sorted by original-index pair, so every
+        worker count agrees byte for byte.  Incompatible with
+        checkpoint/resume (the event log prediction needs is not part of
+        the checkpoint format).
     """
 
     def __init__(
@@ -424,41 +422,18 @@ class ShardedDetector:
         return self.races
 
     def _run_predict(self, stamped_events) -> None:
-        """Post-merge predictive pass, sharded like phase B.
+        """Post-merge predictive pass: one predictor over the stamped log.
 
-        The dependence index is built once, sequentially (it is cheap —
-        one pass over the already-stamped events); candidate resolution
-        is the expensive part (closures + witness replays), so *that*
-        fans out per object over the phase-B greedy load split.  Worker
-        counters come back as local dicts — the obs registry is not
-        thread-safe — and merge here.
+        Phase A already stamped every event, so the predictor indexes
+        them as they are and resolves every candidate in one flush.
         """
-        from concurrent.futures import ThreadPoolExecutor
         from .predict import Predictor
         predictor = Predictor(
             {obj: registration[0]
              for obj, registration in self._registrations.items()},
             window=self._predict_window, root=self._root, obs=self._obs)
         predictor.feed_many(stamped_events)
-        loads = predictor.pending_loads()
-        shard_count = min(self.workers or 1, len(loads)) or 1
-        results: List = []
-        if shard_count <= 1:
-            outcome, counts = predictor.process_objects(
-                [obj for obj, _ in loads])
-            results.extend(outcome)
-            predictor.absorb_counts(counts)
-        else:
-            shards = partition_by_load(loads, shard_count)
-            with ThreadPoolExecutor(max_workers=shard_count) as pool:
-                futures = [pool.submit(predictor.process_objects, shard)
-                           for shard in shards if shard]
-                for future in futures:
-                    outcome, counts = future.result()
-                    results.extend(outcome)
-                    predictor.absorb_counts(counts)
-        results.sort(key=lambda prediction: prediction.pair)
-        self.predicted = results
+        self.predicted = predictor.flush()
 
     # Phase A: one sequential happens-before pass over the full trace.
     def _stamp_and_partition(self, events):

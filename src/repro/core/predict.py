@@ -78,7 +78,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .errors import ReproError
 from .events import Event, EventKind
@@ -131,13 +131,6 @@ class Predictor:
     at maintenance windows, the batch detector once at the end; because
     closures only look backward, flushing early yields exactly the
     end-of-trace predictions for those candidates.
-
-    The sharded facade instead drains candidates itself: it partitions
-    :meth:`pending_loads` with the same greedy shard split phase B uses
-    and calls :meth:`process_objects` per shard.  That method reads only
-    the immutable (post-feed) index and writes only its return values,
-    so disjoint shards may be processed concurrently; counters come back
-    as a plain dict for the caller to merge race-free.
     """
 
     def __init__(self, representations: Dict[Any, Any],
@@ -376,28 +369,6 @@ class Predictor:
 
     # -- resolving candidates ------------------------------------------
 
-    def pending_loads(self) -> List[Tuple[Any, int]]:
-        """``(object, queued candidate count)`` in first-touch order."""
-        return [(obj, len(pairs)) for obj, pairs in self._pending.items()]
-
-    def process_objects(self, objs: Sequence[Any],
-                        ) -> Tuple[List[PredictedRace], Dict[str, int]]:
-        """Resolve the queued candidates of ``objs``.
-
-        Returns ``(predictions sorted by pair, counter deltas)`` without
-        touching shared mutable state — safe to call concurrently for
-        disjoint object sets (the sharded fan-out does).
-        """
-        out: List[PredictedRace] = []
-        counts: Dict[str, int] = {}
-        for obj in objs:
-            for pair in self._pending.get(obj, ()):
-                prediction = self._try_candidate(obj, pair, counts)
-                if prediction is not None:
-                    out.append(prediction)
-        out.sort(key=lambda prediction: prediction.pair)
-        return out, counts
-
     def flush(self) -> List[PredictedRace]:
         """Resolve every queued candidate; returns the new predictions.
 
@@ -405,20 +376,25 @@ class Predictor:
         ``pair``, so incremental (maintenance-window) flushing ends in
         exactly the same list as one flush at end of trace.
         """
-        fresh, counts = self.process_objects(list(self._pending))
+        fresh: List[PredictedRace] = []
+        # Outcome counters go to a local dict and reach ``counts`` and
+        # obs once per flush, not once per candidate.
+        counts: Dict[str, int] = {}
+        for obj, pairs in self._pending.items():
+            for pair in pairs:
+                prediction = self._try_candidate(obj, pair, counts)
+                if prediction is not None:
+                    fresh.append(prediction)
         self._pending.clear()
-        self.absorb_counts(counts)
-        if fresh:
-            self.predicted.extend(fresh)
-            self.predicted.sort(key=lambda prediction: prediction.pair)
-        return fresh
-
-    def absorb_counts(self, counts: Dict[str, int]) -> None:
-        """Merge a :meth:`process_objects` counter delta (obs included)."""
         for name, amount in counts.items():
             self.counts[name] = self.counts.get(name, 0) + amount
             if self._obs is not None:
                 self._obs.add(name, amount)
+        fresh.sort(key=lambda prediction: prediction.pair)
+        if fresh:
+            self.predicted.extend(fresh)
+            self.predicted.sort(key=lambda prediction: prediction.pair)
+        return fresh
 
     def _bump(self, name: str) -> None:
         self.counts[name] = self.counts.get(name, 0) + 1

@@ -39,10 +39,8 @@ snapshots there.
 still being written, surviving writers killed mid-record.
 
 The daemon (``repro-serve``) wraps this analyzer per tenant; its ingest
-bytes can arrive over the unix socket or, with the ``shm`` handshake key,
-through a client-owned :class:`~repro.core.shmem.ByteRing` — same
-newline-delimited records, same backpressure (a full ring blocks the
-writer), no kernel socket copies.  See :mod:`repro.service.server`.
+bytes arrive over one unix socket per tenant, as the same
+newline-delimited records.  See :mod:`repro.service.server`.
 """
 
 from __future__ import annotations

@@ -65,9 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-faults", type=int, default=3, metavar="N",
                         help="faults before quarantine under the disable "
                         "policy (default %(default)s)")
-    parser.add_argument("--no-shm", action="store_true",
-                        help="refuse shared-memory ingest handshakes "
-                        "(clients fall back to socket streaming)")
     parser.add_argument("--chaos", type=int, default=None, metavar="SEED",
                         help="run the seeded chaos harness instead of "
                         "serving")
@@ -115,8 +112,7 @@ def _serve(args) -> int:
                                 suspend_after=args.suspend_after)),
         queue_size=args.queue_size,
         analyzer_policy=args.analyzer_policy,
-        max_faults=args.max_faults,
-        allow_shm=not args.no_shm)
+        max_faults=args.max_faults)
     server = DetectionServer(config)
     print(f"repro-serve: ingest {args.socket} control {args.control}",
           flush=True)

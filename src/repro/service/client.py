@@ -73,50 +73,32 @@ class ServiceClient:
 
     def stream_text(self, tenant: str, bindings: Dict[str, str],
                     trace_text: str,
-                    truncate_at: Optional[int] = None,
-                    via_shm: bool = False,
-                    ring_capacity: int = 1 << 20) -> StreamResult:
+                    truncate_at: Optional[int] = None) -> StreamResult:
         """Stream one tenant's whole JSONL trace; blocks until the ack.
+
+        Handshake, trace and the final status line all share the one
+        socket, so a server that falls behind stalls this call through
+        the full socket buffer.
 
         ``truncate_at`` is the chaos harness's torn-frame lever: only the
         first that many *bytes* of the trace are sent (typically cutting
         a record in half) and the connection then ends abruptly, like a
         client killed mid-write.
-
-        ``via_shm`` routes the trace bytes through a client-owned
-        shared-memory :class:`~repro.core.shmem.ByteRing` named in the
-        handshake — the socket carries only handshake, ack, and the
-        final status line.  The backpressure contract is unchanged: a
-        full ring blocks this call exactly like a full socket buffer.
         """
-        ring = None
-        if via_shm:
-            from ..core.shmem import ByteRing
-            ring = ByteRing.create(capacity=ring_capacity)
         sock = self._connect()
         try:
             reader = sock.makefile("rb")
-            shm_name = ring.name if ring is not None else None
-            sock.sendall((encode_hello(tenant, bindings, shm=shm_name) + "\n")
+            sock.sendall((encode_hello(tenant, bindings) + "\n")
                          .encode("utf-8"))
             ack = reader.readline().decode("utf-8").rstrip("\n")
             if not ack.startswith("OK"):
                 return StreamResult(ack=ack, status="refused", final=ack)
             payload = trace_text.encode("utf-8")
             if truncate_at is not None:
-                if ring is not None:
-                    ring.write_all(payload[:truncate_at],
-                                   timeout=self._timeout)
-                    ring.close_write()
-                else:
-                    sock.sendall(payload[:truncate_at])
+                sock.sendall(payload[:truncate_at])
                 return StreamResult(ack=ack, status="disconnected", final="")
             try:
-                if ring is not None:
-                    ring.write_all(payload, timeout=self._timeout)
-                    ring.close_write()
-                else:
-                    sock.sendall(payload)
+                sock.sendall(payload)
             except (BrokenPipeError, ConnectionError):
                 # The server refused mid-stream (quarantine, budget); its
                 # parting ERR line is still in the read buffer.
@@ -132,9 +114,6 @@ class ServiceClient:
                 sock.close()
             except OSError:
                 pass
-            if ring is not None:
-                ring.close()
-                ring.unlink()
 
     def stream_until_done(self, tenant: str, bindings: Dict[str, str],
                           trace_text: str, attempts: int = 12,

@@ -62,26 +62,18 @@ class ProtocolError(ReproError):
 class Hello:
     """A validated ingest handshake.
 
-    ``shm`` is the optional shared-memory ingest transport: the name of a
-    :class:`~repro.core.shmem.ByteRing` the client created and will write
-    its header + event lines into (the socket then carries only the
-    handshake, acks, and the final status line).  ``None`` = stream the
-    trace over the socket as before.
+    The trace itself follows on the same socket: the header line, then
+    the event lines.
     """
 
     tenant: str
     objects: Dict[str, str]
-    shm: "str | None" = None
 
 
-def encode_hello(tenant: str, objects: Dict[str, str],
-                 shm: "str | None" = None) -> str:
+def encode_hello(tenant: str, objects: Dict[str, str]) -> str:
     """The handshake line a client sends (newline not included)."""
-    record = {PROTOCOL_KEY: PROTOCOL_VERSION, "tenant": tenant,
-              "objects": dict(objects)}
-    if shm is not None:
-        record["shm"] = shm
-    return json.dumps(record)
+    return json.dumps({PROTOCOL_KEY: PROTOCOL_VERSION, "tenant": tenant,
+                       "objects": dict(objects)})
 
 
 def parse_hello(line: str, known_kinds) -> Hello:
@@ -94,6 +86,11 @@ def parse_hello(line: str, known_kinds) -> Hello:
             or record.get(PROTOCOL_KEY) != PROTOCOL_VERSION:
         raise ProtocolError(
             f"not a repro-serve v{PROTOCOL_VERSION} handshake: {line!r}")
+    if "shm" in record:
+        # Older clients could name a shared-memory ring here.  Nobody
+        # reads one any more, so the client would wait on it forever.
+        raise ProtocolError("shm ingest is not supported; stream the "
+                            "trace over the socket")
     tenant = record.get("tenant")
     if not isinstance(tenant, str) or not tenant \
             or len(tenant) > MAX_TENANT_NAME or not _TENANT_OK.match(tenant):
@@ -109,11 +106,7 @@ def parse_hello(line: str, known_kinds) -> Hello:
             raise ProtocolError(
                 f"unknown object kind {kind!r} for {name!r}; "
                 f"available: {sorted(known_kinds)}")
-    shm = record.get("shm")
-    if shm is not None and (not isinstance(shm, str) or not shm
-                            or len(shm) > MAX_TENANT_NAME):
-        raise ProtocolError(f"bad shm segment name {shm!r}")
-    return Hello(tenant=tenant, objects=dict(objects), shm=shm)
+    return Hello(tenant=tenant, objects=dict(objects))
 
 
 def ok_new() -> str:

@@ -69,57 +69,16 @@ _PARTIAL = object()
 _READ_TICK = 0.05
 
 
-class _RingLineReader:
-    """Async line reader over a shared-memory :class:`ByteRing`.
-
-    Duck-types the one method ``_readline`` uses (``readline()``), so the
-    shm ingest path reuses the socket path's framing, cap, and torn-frame
-    semantics verbatim: a complete line ends in ``\\n``; EOF (writer
-    closed and drained) yields the unterminated tail or ``b""`` exactly
-    like a socket EOF; a line over ``max_line`` raises ``ValueError``
-    (asyncio's over-limit signal).
-
-    Cancel-safe by construction: ring bytes are moved into the line
-    buffer synchronously — the only await point is the idle sleep — so
-    the ``wait_for`` tick in ``_readline`` can cancel us without losing
-    data.
-    """
-
-    def __init__(self, ring, max_line: int, poll: float = 0.002):
-        self._ring = ring
-        self._max = max_line
-        self._poll = poll
-        self._buf = bytearray()
-
-    async def readline(self) -> bytes:
-        while True:
-            newline = self._buf.find(b"\n")
-            if newline >= 0:
-                line = bytes(self._buf[:newline + 1])
-                del self._buf[:newline + 1]
-                return line
-            if len(self._buf) > self._max:
-                raise ValueError(
-                    f"shm frame exceeds the {self._max}-byte record cap")
-            chunk = self._ring.read()
-            if chunk:
-                self._buf += chunk
-                continue
-            if self._ring.eof:
-                tail = bytes(self._buf)
-                self._buf.clear()
-                return tail
-            await asyncio.sleep(self._poll)
-
-
 @dataclass(frozen=True)
 class ServiceConfig:
     """Everything a :class:`DetectionServer` needs to come up.
 
-    ``queue_size`` bounds every tenant's ingest queue (the backpressure
-    knob).  ``throttle`` is a test/chaos hook — an async callable
-    ``(tenant, events_seen)`` awaited before each analyzed event, used
-    to simulate a slow consumer without patching the analyzer.
+    Tenants reach the server one way: over ``socket_path``, handshake
+    then trace.  ``queue_size`` bounds every tenant's ingest queue (the
+    backpressure knob).  ``throttle`` is a test/chaos hook — an async
+    callable ``(tenant, events_seen)`` awaited before each analyzed
+    event, used to simulate a slow consumer without patching the
+    analyzer.
     """
 
     socket_path: str
@@ -129,10 +88,6 @@ class ServiceConfig:
     max_record_bytes: int = MAX_RECORD_BYTES
     analyzer_policy: str = "disable"
     max_faults: int = 3
-    #: Accept handshakes carrying an ``shm`` byte-ring name (the trace
-    #: then bypasses the socket).  Off → such handshakes get
-    #: ``ERR shm-unavailable`` and the client falls back to the socket.
-    allow_shm: bool = True
     throttle: Optional[Callable[[str, int], Awaitable[None]]] = field(
         default=None, repr=False)
 
@@ -339,32 +294,6 @@ class DetectionServer:
             tenant.connected = False
 
     async def _stream(self, tenant: _Tenant, hello, reader, writer) -> None:
-        # Shared-memory ingest: the handshake named a client-owned byte
-        # ring; attach *before* acking so a bad segment is refused while
-        # the client still listens, and read header + events from the
-        # ring (the socket keeps carrying acks and the final status).
-        ring = None
-        if hello.shm is not None:
-            if not self.config.allow_shm:
-                await self._send(writer, err_line(
-                    "shm-unavailable disabled by configuration"))
-                return
-            try:
-                from ..core.shmem import ByteRing
-                ring = ByteRing.attach(hello.shm)
-            except Exception as exc:
-                self.obs.add("protocol_errors")
-                await self._send(writer, err_line(f"shm-unavailable {exc}"))
-                return
-            self.obs.add("shm_streams")
-        try:
-            await self._stream_session(tenant, hello, reader, writer, ring)
-        finally:
-            if ring is not None:
-                ring.close()  # the client owns (and unlinks) the segment
-
-    async def _stream_session(self, tenant: _Tenant, hello, reader, writer,
-                              ring) -> None:
         session = TenantSession(tenant.name, hello.objects,
                                 self.config.session, obs=tenant.obs)
         try:
@@ -376,8 +305,6 @@ class DetectionServer:
             session.reject_checkpoint()
             resumed = 0
         await self._send(writer, ok_resume(resumed) if resumed else ok_new())
-        if ring is not None:
-            reader = _RingLineReader(ring, self.config.max_record_bytes)
 
         status = {"failed": None}
 

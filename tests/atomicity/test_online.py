@@ -7,6 +7,7 @@ import random
 
 from repro.atomicity import (AtomicityAnalyzer, AtomicityChecker,
                              ConflictMode, atomic)
+from repro.atomicity.online import _shortest_path
 from repro.core.events import NIL
 from repro.core.trace import TraceBuilder
 from repro.runtime.collections_rt import MonitoredDict
@@ -94,6 +95,19 @@ class TestOnlineDetection:
         assert online.races() == []
 
 
+class TestPathSearch:
+    def test_equal_length_paths_break_ties_bidirectionally(self):
+        # Two shortest 3 → 0 paths.  A forward BFS takes 3 → 2 → 0; the
+        # bidirectional search meets at 1, the first predecessor of 0.
+        succ = {node: {} for node in range(4)}
+        pred = {node: {} for node in range(4)}
+        for source, target in [(3, 2), (1, 0), (2, 0), (3, 1)]:
+            succ[source][target] = None
+            pred[target][source] = None
+        assert _shortest_path(succ, pred, 3, 0) == [3, 1, 0]
+        assert _shortest_path(succ, pred, 0, 3) is None
+
+
 class TestAgreementWithOffline:
     @staticmethod
     def random_transactional_trace(seed):
@@ -164,4 +178,4 @@ class TestMonitorIntegration:
         scheduler.run(main)
         # Both analyzers consumed the same stream without interference.
         assert rd2.detector.stats.actions > 0
-        assert online._next_txn > 0
+        assert online._txns

@@ -48,8 +48,8 @@ def run_sharded(trace, bindings, mp_context, **kw):
 
 
 @pytest.mark.parametrize("mp_context", START_METHODS)
-class TestShmDifferential:
-    def test_seeded_fleet_byte_identical(self, mp_context):
+class TestTransportDifferential:
+    def test_byte_identical(self, mp_context):
         seeds = range(20) if mp_context == "fork" else (4, 9, 41)
         nonempty = 0
         for seed in seeds:
@@ -62,7 +62,7 @@ class TestShmDifferential:
             nonempty += bool(want)
         assert nonempty >= 2, "corpus never exercised the race paths"
 
-    def test_composition_knobs_stay_invisible(self, mp_context):
+    def test_with_pruning(self, mp_context):
         for seed in (3, 17):
             program = random_multi_object_program(seed, max_ops=60)
             trace, bindings = build_multi_object_trace(program)
@@ -92,7 +92,7 @@ def fanout_trace(width, actions=400):
     return builder.build()
 
 
-class TestShmObservability:
+class TestTransportObservability:
     def test_ipc_counters_reflect_the_transport(self):
         program = random_multi_object_program(9, max_ops=60)
         trace, bindings = build_multi_object_trace(program)

@@ -20,12 +20,15 @@ class TestHello:
         with pytest.raises(ProtocolError, match="not JSON"):
             parse_hello("{nope", KINDS)
 
-    def test_shm_key_roundtrip_and_default(self):
-        line = encode_hello("t", {"o": "counter"}, shm="psm_abc123")
-        assert parse_hello(line, KINDS).shm == "psm_abc123"
-        plain = encode_hello("t", {"o": "counter"})
-        assert "shm" not in plain
-        assert parse_hello(plain, KINDS).shm is None
+    def test_shm_key_is_refused(self):
+        # A client that names a shared-memory ring would wait on it
+        # forever; the handshake fails instead.
+        import json
+        line = json.dumps({"repro-serve": 1, "tenant": "t",
+                           "objects": {"o": "counter"}, "shm": "psm_abc123"})
+        with pytest.raises(ProtocolError, match="shm"):
+            parse_hello(line, KINDS)
+        assert "shm" not in encode_hello("t", {"o": "counter"})
 
     @pytest.mark.parametrize("shm", ["", 7, "x" * 200])
     def test_bad_shm_names(self, shm):

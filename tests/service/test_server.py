@@ -118,6 +118,28 @@ class TestRefusals:
         finally:
             sock.close()
 
+    def test_shm_handshake_is_refused_before_ack(self, make_server):
+        # Older clients named a shared-memory ring in the handshake; one
+        # ERR line tells them before they wait on a ring nobody reads.
+        host = make_server()
+        text, bindings, _ = tenant_trace_text(QUIET_SEED)
+        hello = json.dumps({"repro-serve": 1, "tenant": "ghost",
+                            "objects": bindings, "shm": "psm_abc123"})
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.settimeout(10)
+        sock.connect(host.config.socket_path)
+        try:
+            sock.sendall((hello + "\n").encode())
+            reply = sock.makefile("rb").readline().decode()
+        finally:
+            sock.close()
+        assert reply.startswith("ERR ") and "shm" in reply
+        control = ControlClient(host.config.control_path)
+        assert control.stats()["counters"]["protocol_errors"] >= 1
+        result = ServiceClient(host.config.socket_path).stream_text(
+            "ghost", bindings, text)
+        assert result.status == "done", result
+
     def test_oversized_handshake_frame(self, make_server):
         host = make_server(max_record_bytes=4096)
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)

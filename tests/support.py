@@ -363,17 +363,3 @@ def sample_actions(kind: str, count: int = 60, seed: int = 13,
         state, returns = semantics.apply(state, method, args)
         actions.append(Action(obj, method, args, returns))
     return actions
-
-
-def shm_available() -> bool:
-    """Can this host create a shared-memory segment?  Some sandboxes mount
-    ``/dev/shm`` read-only or not at all; the service's shm ingest tests
-    skip there."""
-    from multiprocessing import shared_memory
-    try:
-        segment = shared_memory.SharedMemory(create=True, size=1)
-    except Exception:
-        return False
-    segment.close()
-    segment.unlink()
-    return True
