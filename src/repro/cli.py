@@ -588,6 +588,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # finally, so partial --spans output stays valid JSONL.
         print("repro-analyze: interrupted", file=sys.stderr)
         return EXIT_INTERRUPT
+    except ReproError as exc:
+        # A trace that parsed but that analysis cannot interpret (an
+        # action the bound kind has no reading for) is an input problem.
+        _fail(f"invalid trace file {args.trace!r}: {exc}", EXIT_DATA)
     finally:
         if stream is not None:
             stream.close()

@@ -633,15 +633,25 @@ class CommutativityRaceDetector:
             return None
         stats = self.stats
         stats.actions += 1
-        if state.plan is not None:
-            points = _resolve_points(state, action)
-            if self._predict_log is not None:
-                # Predict mode: the predictive refeed reuses the resolved
-                # tuple instead of re-evaluating ηo (process() files it
-                # under the event's log position).
-                self._predict_last = points
-        else:
-            points = state.representation.points_of(action)
+        try:
+            if state.plan is not None:
+                points = _resolve_points(state, action)
+                if self._predict_log is not None:
+                    # Predict mode: the predictive refeed reuses the
+                    # resolved tuple instead of re-evaluating ηo (process()
+                    # files it under the event's log position).
+                    self._predict_last = points
+            else:
+                points = state.representation.points_of(action)
+        except (LookupError, TypeError, ValueError) as exc:
+            # The bound kind cannot interpret this action: a method it
+            # lacks, or an argument that cannot be a point value.
+            position = (event.index if event.index >= 0
+                        else stats.events - 1)
+            raise MonitorError(
+                f"event {position} ({event.label()}): cannot resolve the "
+                f"access points of {action.obj!r}: "
+                f"{type(exc).__name__}: {exc}") from exc
         stats.points_touched += len(points)
 
         # Sampled actions pay for timing + attribution with their counts

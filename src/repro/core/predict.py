@@ -46,17 +46,31 @@ The per-candidate pipeline:
    by different threads at most ``window`` object-actions apart whose
    observed clocks are ordered (unordered conflicting pairs are already
    witnessed races).
-2. **Feasibility** — the backward ``D``-closures of ``a`` and ``b``
-   (excluding the direct ``a→b`` edge).  If ``a`` lies in ``b``'s
-   closure through some other conflict chain, no correct reordering can
-   make them adjacent: drop.
-3. **Witness construction** — greedily linearize the union of the two
-   closures in original-index order under lock semantics (an acquire
-   whose matching release is outside the support is scheduled only as a
-   last resort, since it holds its lock forever).  A stuck schedule
-   means mutual exclusion forbids the reordering: drop.  Otherwise
-   append ``a`` then ``b`` — adjacent, with no synchronization between
-   them, so they are concurrent in the witness.
+2. **Feasibility** — is ``a`` in the backward ``D``-closure of ``b``
+   once the direct ``a→b`` edge is removed?  If so, some other conflict
+   chain orders them in every correct reordering: drop.  Every event's
+   program-order predecessor (or, for a thread's first event, its fork)
+   is one of its ``D``-predecessors, so every ``D``-closure is a prefix
+   of each thread and a vector timestamp represents it exactly: the
+   event's **D-clock**, its own thread position joined with the D-clocks
+   of its latest ``D``-predecessor on each thread (an earlier
+   predecessor on a thread lies in the closure of the latest one).  The
+   test is then one comparison per thread: ``a`` is ordered before
+   ``b`` unless ``b``'s latest predecessor on ``a``'s thread is ``a``
+   itself and no latest predecessor on another thread has a D-clock
+   covering ``a``'s position.
+3. **Witness construction** — the support is the union of the two
+   closures minus ``a`` and ``b``: the per-thread prefixes under the
+   join of ``a``'s D-clock (less ``a``) and the D-clocks of ``b``'s
+   other latest predecessors.  Greedily linearize it in original-index
+   order under lock semantics (an acquire whose matching release is
+   outside the support is scheduled only as a last resort, since it
+   holds its lock forever).  The support is ``D``-downward closed, so an
+   event is ready exactly when its latest predecessor on each thread has
+   been placed.  A stuck schedule means mutual exclusion forbids the
+   reordering: drop.  Otherwise append ``a`` then ``b`` — adjacent, with
+   no synchronization between them, so they are concurrent in the
+   witness.
 4. **Validation** — replay the witness through a fresh standard
    :class:`~repro.core.detector.CommutativityRaceDetector` with the same
    registrations and keep the prediction only if that replay itself
@@ -78,7 +92,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .errors import ReproError
 from .events import Event, EventKind
@@ -159,10 +173,16 @@ class Predictor:
         # -- the dependence index (append-only, one entry per event) --
         self._events: List[Event] = []
         self._clocks: List[Any] = []
-        self._preds: List[List[int]] = []
+        # Per event: its latest D-predecessor on each thread, and its
+        # D-clock (thread -> how many of that thread's events its
+        # D-closure holds).
+        self._heads: List[Dict[Any, int]] = []
+        self._dclocks: List[Dict[Any, int]] = []
         self._points: Dict[int, Tuple[Any, ...]] = {}
         # -- builder state --
-        self._last_of_thread: Dict[Any, int] = {}
+        # Each thread's event indices in order: D-clock component ``n``
+        # of a thread names the prefix ``[:n]`` of its list.
+        self._thread_events: Dict[Any, List[int]] = {}
         self._forked_at: Dict[Any, int] = {}
         self._lock_stack: Dict[Tuple[Any, Any], List[int]] = {}
         self._match_release: Dict[int, int] = {}
@@ -201,8 +221,9 @@ class Predictor:
         """
         events_list = self._events
         clocks = self._clocks
-        preds_list = self._preds
-        last_of_thread = self._last_of_thread
+        heads_list = self._heads
+        dclocks = self._dclocks
+        thread_events = self._thread_events
         forked_at = self._forked_at
         feed_action = self._feed_action
         action_kind = EventKind.ACTION
@@ -210,31 +231,34 @@ class Predictor:
         join_kind = EventKind.JOIN
         acquire_kind = EventKind.ACQUIRE
         release_kind = EventKind.RELEASE
+        candidates = 0
         for event in events:
             index = len(events_list)
             events_list.append(event)
             clocks.append(event.clock)
-            preds: List[int] = []
+            # ``heads`` maps a thread to this event's latest D-predecessor
+            # on it: program order (or the fork) first, then whatever the
+            # event kind adds.
             tid = event.tid
-            prev = last_of_thread.get(tid)
-            if prev is not None:
-                preds.append(prev)
+            mine = thread_events.get(tid)
+            if mine:
+                heads = {tid: mine[-1]}
             else:
+                mine = thread_events[tid] = []
                 fork = forked_at.get(tid)
-                if fork is not None:
-                    preds.append(fork)
-            last_of_thread[tid] = index
+                heads = ({} if fork is None
+                         else {events_list[fork].tid: fork})
+            mine.append(index)
             kind = event.kind
             if kind is action_kind:
-                feed_action(event, index, preds)
+                candidates += feed_action(event, index, heads)
             elif kind is fork_kind:
                 forked_at[event.peer] = index
             elif kind is join_kind:
-                last = last_of_thread.get(event.peer)
-                if last is None:
-                    last = forked_at.get(event.peer)
+                joined = thread_events.get(event.peer)
+                last = joined[-1] if joined else forked_at.get(event.peer)
                 if last is not None:
-                    preds.append(last)
+                    _add_head(heads, events_list[last].tid, last)
             elif kind is acquire_kind:
                 self._lock_stack.setdefault(
                     (tid, event.lock), []).append(index)
@@ -249,13 +273,32 @@ class Predictor:
                 # never unsound ones).
                 last = self._last_memory.get(event.location)
                 if last is not None:
-                    preds.append(last)
+                    _add_head(heads, events_list[last].tid, last)
                 self._last_memory[event.location] = index
-            preds_list.append(preds)
+            # The D-clock: the latest predecessor on a thread dominates
+            # the earlier ones there (program order is in D), so joining
+            # the heads' D-clocks is the join over every predecessor.  A
+            # head the join already covers adds nothing: skip it.
+            dclock: Dict[Any, int] = {}
+            for thread, pred in heads.items():
+                head_clock = dclocks[pred]
+                if not dclock:
+                    dclock.update(head_clock)
+                elif dclock.get(thread, 0) < head_clock[thread]:
+                    for other, count in head_clock.items():
+                        if dclock.get(other, 0) < count:
+                            dclock[other] = count
+            dclock[tid] = len(mine)
+            heads_list.append(heads)
+            dclocks.append(dclock)
         self.events_fed = len(events_list)
+        if candidates:
+            self._publish({"predict_candidates": candidates})
 
     def _feed_action(self, event: Event, index: int,
-                     preds: List[int]) -> None:
+                     heads: Dict[Any, int]) -> int:
+        """Add an action's D-predecessors to ``heads``; queue its
+        candidate pairs and return how many it queued."""
         action = event.action
         rep = self._reps.get(action.obj)
         if rep is None:
@@ -263,9 +306,9 @@ class Predictor:
             # preserve their observed per-object order wholesale.
             last = self._last_unregistered.get(action.obj)
             if last is not None:
-                preds.append(last)
+                _add_head(heads, self._events[last].tid, last)
             self._last_unregistered[action.obj] = index
-            return
+            return 0
         state = self._plan_states.get(action.obj)
         points = self._captured.get(index)
         if points is None:
@@ -290,12 +333,14 @@ class Predictor:
             scan = prior[-window:]
             # Chain anchor: conflicts beyond the scan horizon stay
             # transitively ordered through the capped chain of anchors.
-            preds.append(prior[-window - 1][0])
+            anchor, _, _, anchor_tid = prior[-window - 1]
+            _add_head(heads, anchor_tid, anchor)
         else:
             scan = prior
         clock = event.clock
         tid = event.tid
         clocks = self._clocks
+        queued = 0
         single = points[0] if len(points) == 1 else None
         if state is not None:
             # ENUMERATE objects: points are canonical interned instances
@@ -324,9 +369,10 @@ class Predictor:
                             break
                 if not conflicting:
                     continue
-                preds.append(earlier)
                 if earlier_tid == tid:
                     continue  # program order already forbids reordering
+                if heads.get(earlier_tid, -1) < earlier:
+                    heads[earlier_tid] = earlier
                 if clock is None or clocks[earlier] is None:
                     raise ReproError(
                         f"prediction requires stamped events; event {index} "
@@ -335,9 +381,9 @@ class Predictor:
                     continue  # unordered: a *witnessed* race
                 self._pending.setdefault(
                     action.obj, []).append((earlier, index))
-                self._bump("predict_candidates")
+                queued += 1
             prior.append((index, points, pid, tid))
-            return
+            return queued
         cache = self._conflict_cache
         conflicts = rep.conflicts
         for earlier, earlier_points, earlier_pid, earlier_tid in scan:
@@ -354,9 +400,10 @@ class Predictor:
                     cache[key] = conflicting
             if not conflicting:
                 continue
-            preds.append(earlier)
             if earlier_tid == tid:
                 continue  # program order already forbids reordering
+            if heads.get(earlier_tid, -1) < earlier:
+                heads[earlier_tid] = earlier
             if clock is None or clocks[earlier] is None:
                 raise ReproError(
                     f"prediction requires stamped events; event {index} "
@@ -364,8 +411,9 @@ class Predictor:
             if not clocks[earlier].leq(clock):
                 continue  # unordered: this pair is a *witnessed* race
             self._pending.setdefault(action.obj, []).append((earlier, index))
-            self._bump("predict_candidates")
+            queued += 1
         prior.append((index, points, pid, tid))
+        return queued
 
     # -- resolving candidates ------------------------------------------
 
@@ -386,70 +434,32 @@ class Predictor:
                 if prediction is not None:
                     fresh.append(prediction)
         self._pending.clear()
-        for name, amount in counts.items():
-            self.counts[name] = self.counts.get(name, 0) + amount
-            if self._obs is not None:
-                self._obs.add(name, amount)
+        self._publish(counts)
         fresh.sort(key=lambda prediction: prediction.pair)
         if fresh:
             self.predicted.extend(fresh)
             self.predicted.sort(key=lambda prediction: prediction.pair)
         return fresh
 
-    def _bump(self, name: str) -> None:
-        self.counts[name] = self.counts.get(name, 0) + 1
-        if self._obs is not None:
-            self._obs.add(name)
+    def _publish(self, counts: Dict[str, int]) -> None:
+        """Add a batch's counters to ``counts`` and obs, one add each."""
+        for name, amount in counts.items():
+            self.counts[name] = self.counts.get(name, 0) + amount
+            if self._obs is not None:
+                self._obs.add(name, amount)
 
     # -- one candidate through the pipeline ----------------------------
 
     def _try_candidate(self, obj: Any, pair: Tuple[int, int],
                        counts: Dict[str, int]) -> Optional[PredictedRace]:
         first, second = pair
-        preds = self._preds
-        # Reachability test first: is ``first`` still in the backward
-        # D-closure of ``second`` once the direct conflict edge is
-        # removed?  Edges strictly decrease the event index, so any
-        # branch that drops below ``first`` can never come back — pruning
-        # there bounds the test to the (first, second] span instead of
-        # the whole trace, which is what keeps the dominant
-        # dropped-ordered case cheap on long traces.
-        seen: set = set()
-        stack = [p for p in preds[second] if p != first]
-        ordered = False
-        while stack:
-            entry = stack.pop()
-            if entry < first or entry in seen:
-                continue
-            if entry == first:
-                ordered = True
-                break
-            seen.add(entry)
-            stack.extend(preds[entry])
-        if ordered:
+        support = self._support(first, second)
+        if support is None:
             # Ordered through some other conflict/sync chain: every
             # correct reordering keeps them apart.
             counts["predict_dropped_ordered"] = (
                 counts.get("predict_dropped_ordered", 0) + 1)
             return None
-        # Survivors pay for the full closures (the witness support).
-        down_second: set = set()
-        stack = [p for p in preds[second] if p != first]
-        while stack:
-            entry = stack.pop()
-            if entry not in down_second:
-                down_second.add(entry)
-                stack.extend(preds[entry])
-        down_first: set = set()
-        stack = list(preds[first])
-        while stack:
-            entry = stack.pop()
-            if entry not in down_first:
-                down_first.add(entry)
-                stack.extend(preds[entry])
-        support = down_first | down_second
-        support.discard(first)
-        support.discard(second)
         order = self._schedule(support)
         if order is None:
             # Mutual exclusion (or an unmatched lock hand-off) pins the
@@ -470,11 +480,40 @@ class Predictor:
         counts["predict_validated"] = counts.get("predict_validated", 0) + 1
         return PredictedRace(race=race, pair=pair, witness=tuple(witness))
 
-    def _schedule(self, support: set) -> Optional[List[int]]:
+    def _support(self, first: int, second: int) -> Optional[Set[int]]:
+        """The witness support of ``(first, second)``, or None when
+        ``first`` is in ``second``'s D-closure without the direct edge
+        (steps 2 and 3 of the module docstring)."""
+        tid = self._events[first].tid
+        heads = self._heads[second]
+        if heads[tid] != first:
+            return None
+        dclocks = self._dclocks
+        position = dclocks[first][tid]
+        for thread, pred in heads.items():
+            if thread != tid and dclocks[pred].get(tid, 0) >= position:
+                return None
+        bound = dict(dclocks[first])
+        bound[tid] = position - 1
+        for thread, pred in heads.items():
+            if thread != tid:
+                for other, count in dclocks[pred].items():
+                    if bound.get(other, 0) < count:
+                        bound[other] = count
+        thread_events = self._thread_events
+        support: Set[int] = set()
+        for thread, count in bound.items():
+            support.update(thread_events[thread][:count])
+        return support
+
+    def _schedule(self, support: Set[int]) -> Optional[List[int]]:
         """Lock-aware greedy linearization of ``support``; None if stuck.
 
         Events schedule in original-index order once their dependence
-        predecessors have run.  Mutual exclusion is operational: an
+        predecessors have run.  ``support`` is D-downward closed, so an
+        event is ready exactly when its latest predecessor on each thread
+        has been placed: placing that one placed its whole closure, the
+        earlier predecessors included.  Mutual exclusion is operational: an
         acquire of a held lock waits for the matching release; an acquire
         whose matching release lies *outside* the support would hold its
         lock for the rest of the witness, so it is deferred until nothing
@@ -484,18 +523,18 @@ class Predictor:
         """
         if not support:
             return []
-        preds = self._preds
+        heads_list = self._heads
         events = self._events
         remaining: Dict[int, int] = {}
         succs: Dict[int, List[int]] = {}
+        ready: List[int] = []
         for entry in support:
-            need = 0
-            for pred in preds[entry]:
-                if pred in support:
-                    need += 1
-                    succs.setdefault(pred, []).append(entry)
-            remaining[entry] = need
-        ready = [entry for entry in support if remaining[entry] == 0]
+            heads = heads_list[entry]
+            remaining[entry] = len(heads)
+            if not heads:
+                ready.append(entry)
+            for pred in heads.values():
+                succs.setdefault(pred, []).append(entry)
         heapq.heapify(ready)
         deferred: List[int] = []   # acquires whose release is outside
         waiting: Dict[Any, List[int]] = {}
@@ -563,8 +602,12 @@ class Predictor:
         from .detector import CommutativityRaceDetector
         detector = CommutativityRaceDetector(root=self._root)
         # Per-object factoring: other objects' registrations cannot change
-        # this object's races, so the replay only needs the candidate's.
-        detector.register_object(obj, self._reps[obj])
+        # this object's races, so the replay only needs the candidate's —
+        # on the plan the analyzing detector already compiled, if any.
+        state = self._plan_states.get(obj)
+        detector.register_object(
+            obj, self._reps[obj],
+            plan=state.plan if state is not None else None)
         try:
             races = detector.run(witness)
         except ReproError:
@@ -580,6 +623,13 @@ class Predictor:
                     and race.prior_point in first_points):
                 return race
         return None
+
+
+def _add_head(heads: Dict[Any, int], tid: Any, index: int) -> None:
+    """Record ``index`` (an event of ``tid``) as a D-predecessor in
+    ``heads`` unless a later event of ``tid`` is already there."""
+    if heads.get(tid, -1) < index:
+        heads[tid] = index
 
 
 def _fresh_event(event: Event) -> Event:

@@ -17,7 +17,7 @@ from repro.core.stream import StreamAnalyzer
 from repro.core.trace import TraceBuilder
 from repro.specs import bundled_objects
 
-from tests.support import race_snapshot
+from tests.support import race_snapshot, register_bindings
 
 
 def dict_rep():
@@ -40,11 +40,41 @@ def handoff_trace():
             .build())
 
 
-def run_predictive(trace, window=256, **kw):
-    detector = CommutativityRaceDetector(root=0, predict_window=window, **kw)
-    detector.register_object("o", dict_rep())
+def chain_trace(c_method, *c_args):
+    """a and b are the only actions on o.  On r, t0's read a2 (after a)
+    conflicts with t1's action c when c writes, and c with t2's read d
+    (before b); a2 and d commute.  So a reaches b along a -> a2 -> c ->
+    d -> b, through t1, or not at all when c reads."""
+    return (TraceBuilder(root=0)
+            .fork(0, 1).fork(0, 2)
+            .acquire(0, "L")
+            .invoke(0, "o", "put", "k", 1, returns=NIL)      # a   3
+            .invoke(0, "r", "read", returns=0)               # a2  4
+            .release(0, "L")
+            .acquire(1, "L")
+            .release(1, "L")
+            .invoke(1, "r", c_method, *c_args, returns=0)    # c   8
+            .acquire(1, "M")
+            .release(1, "M")
+            .acquire(2, "M")
+            .release(2, "M")
+            .invoke(2, "r", "read", returns=1)               # d  13
+            .invoke(2, "o", "put", "k", 2, returns=1)        # b  14
+            .join(0, 1).join(0, 2)
+            .build())
+
+
+def run_predictive(trace, window=256, bindings=None, **kw):
+    """Run ``trace`` with prediction on; ``bindings`` maps object names to
+    bundled kinds (default: ``o``, a dictionary)."""
+    detector = register_bindings(
+        CommutativityRaceDetector(root=0, predict_window=window, **kw),
+        bindings or {"o": "dictionary"})
     detector.run(trace)
     return detector
+
+
+CHAIN_BINDINGS = {"o": "dictionary", "r": "register"}
 
 
 class TestPrediction:
@@ -131,6 +161,65 @@ class TestPrediction:
         assert counts["predict_dropped_ordered"] == 1
         assert counts["predict_validated"] == 2
         assert [p.pair for p in detector.predicted] == [(3, 7), (7, 12)]
+
+    def test_pair_ordered_only_through_a_third_threads_conflict_chain(self):
+        # b's latest predecessor on its own thread, d, has a D-clock that
+        # covers a only through t1's write c.
+        chained = run_predictive(chain_trace("write", 1),
+                                 bindings=CHAIN_BINDINGS)
+        assert chained.races == []
+        assert chained._predictor.counts == {"predict_candidates": 3,
+                                             "predict_dropped_ordered": 1,
+                                             "predict_validated": 2}
+        assert [p.pair for p in chained.predicted] == [(4, 8), (8, 13)]
+        # With c a read, nothing on r conflicts and (a, b) is predicted.
+        unchained = run_predictive(chain_trace("read"),
+                                   bindings=CHAIN_BINDINGS)
+        assert [p.pair for p in unchained.predicted] == [(3, 14)]
+
+    def test_pair_ordered_only_through_a_fork(self):
+        # t0 puts, then forks t1, which forks t2, which puts: the only
+        # path from a to b runs through two fork edges, none of them on
+        # b's thread.
+        trace = (TraceBuilder(root=0)
+                 .invoke(0, "o", "put", "k", 1, returns=NIL)   # a
+                 .fork(0, 1)
+                 .fork(1, 2)
+                 .invoke(2, "o", "put", "k", 2, returns=1)     # b
+                 .join(1, 2).join(0, 1)
+                 .build())
+        detector = run_predictive(trace)
+        assert detector.races == []
+        assert detector.predicted == []
+        assert detector._predictor.counts == {"predict_candidates": 1,
+                                              "predict_dropped_ordered": 1}
+
+    def test_pair_linked_only_by_the_chain_anchor(self):
+        # On p, t0's get x (after a) and t1's get z (before b) commute,
+        # so nothing orders a before b — unless the window is so narrow
+        # that get z's scan stops short of get x: then the chain anchor
+        # links them, and the anchor alone orders the pair.
+        trace = (TraceBuilder(root=0)
+                 .fork(0, 1)
+                 .acquire(0, "L")
+                 .invoke(0, "o", "put", "k", 1, returns=NIL)   # a
+                 .invoke(0, "p", "get", "x", returns=NIL)
+                 .invoke(0, "p", "get", "y", returns=NIL)
+                 .invoke(0, "p", "get", "y", returns=NIL)
+                 .release(0, "L")
+                 .acquire(1, "L")
+                 .release(1, "L")
+                 .invoke(1, "p", "get", "z", returns=NIL)
+                 .invoke(1, "o", "put", "k", 2, returns=1)     # b
+                 .join(0, 1)
+                 .build())
+        bindings = {"o": "dictionary", "p": "dictionary"}
+        narrow = run_predictive(trace, window=2, bindings=bindings)
+        assert narrow.predicted == []
+        assert narrow._predictor.counts == {"predict_candidates": 1,
+                                            "predict_dropped_ordered": 1}
+        wide = run_predictive(trace, window=256, bindings=bindings)
+        assert [p.pair for p in wide.predicted] == [(2, 10)]
 
     def test_single_thread_has_no_candidates(self):
         trace = (TraceBuilder(root=0)
@@ -261,3 +350,19 @@ class TestObsCounters:
         assert snap["counters"]["predict_candidates"] == 1
         assert snap["counters"]["predict_validated"] == 1
         assert snap["timers"]["predict"]["count"] >= 1
+
+    def test_counter_totals_across_flushes(self):
+        # Candidates queued and resolved over several maintenance
+        # windows: each batch publishes its counters once, and the
+        # registry's totals equal the predictor's own.
+        from repro.obs import Registry
+        obs = Registry(sample_interval=1)
+        analyzer = register_bindings(
+            StreamAnalyzer(root=0, window=4, predict_window=256, obs=obs),
+            CHAIN_BINDINGS)
+        analyzer.run(chain_trace("write", 1))
+        want = {"predict_candidates": 3, "predict_dropped_ordered": 1,
+                "predict_validated": 2}
+        assert analyzer.detector._predictor.counts == want
+        counters = obs.snapshot()["counters"]
+        assert {name: counters[name] for name in want} == want

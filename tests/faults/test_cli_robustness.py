@@ -12,7 +12,10 @@ import multiprocessing
 import pytest
 
 from repro.cli import (EXIT_DATA, EXIT_INTERRUPT, EXIT_USAGE, main)
+from repro.core.events import NIL
+from repro.core.serialize import dump_trace
 from repro.core.supervise import ShardSupervisor
+from repro.core.trace import TraceBuilder
 
 TRACE = "tests/data/multi_object_mixed.jsonl"
 OBJECTS = ["--object", "a=accumulator", "--object", "d=dictionary",
@@ -80,6 +83,48 @@ class TestRobustnessFlagValidation:
         with pytest.raises(SystemExit) as excinfo:
             main([str(tmp_path / "missing.jsonl"), *OBJECTS])
         assert excinfo.value.code == EXIT_DATA
+
+
+class TestUninterpretableActions:
+    """A trace that parses, but whose action the bound kind cannot
+    interpret, is an input error under every engine: exit 3 with one
+    line naming the event, never a traceback."""
+
+    INPUTS = {
+        # A method the bound kind lacks.
+        "unknown-method": ("set", "enq", (1,), "set has no method 'enq'"),
+        # A point argument that cannot be hashed into an access point.
+        "list-point": ("dictionary", "put", ([1, 2], 5),
+                       "unhashable type: 'list'"),
+    }
+    ENGINES = {
+        "sequential": [],
+        "workers": ["--workers", "2"],
+        "predict": ["--predict"],
+        "follow": ["--follow", "--follow-timeout", "5"],
+    }
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("case", sorted(INPUTS))
+    def test_exits_3_naming_the_event(self, capsys, tmp_path, case, engine):
+        kind, method, args, cause = self.INPUTS[case]
+        trace = (TraceBuilder(root=0)
+                 .fork(0, 1)
+                 .invoke(0, "o", method, *args, returns=NIL)
+                 .join(0, 1)
+                 .build())
+        path = tmp_path / "trace.jsonl"
+        with open(path, "w", encoding="utf-8") as out:
+            dump_trace(trace, out)
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(path), "--object", f"o={kind}",
+                  *self.ENGINES[engine]])
+        assert excinfo.value.code == EXIT_DATA
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("repro-analyze: error: ")
+        assert "\n" not in err, f"expected one line, got: {err!r}"
+        assert f"event 1 (0: o.{method}(" in err
+        assert cause in err
 
 
 def test_help_documents_exit_codes(capsys):

@@ -8,13 +8,15 @@ any bundled object kind.
 
 from __future__ import annotations
 
+import heapq
 import random
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from hypothesis import strategies as st
 
 from repro.core.direct import DirectDetector
-from repro.core.events import Action, EventKind
+from repro.core.errors import ReproError
+from repro.core.events import Action, Event, EventKind
 from repro.core.plan import _as_clock
 from repro.core.trace import Trace, TraceBuilder
 from repro.specs import BundledObject, bundled_objects
@@ -363,3 +365,236 @@ def sample_actions(kind: str, count: int = 60, seed: int = 13,
         state, returns = semantics.apply(state, method, args)
         actions.append(Action(obj, method, args, returns))
     return actions
+
+
+# -- the literal predictive reference: D as full predecessor lists -----------------
+#
+# ``repro.core.predict`` decides feasibility and builds witness supports
+# from D-clocks.  This reference keeps the definitions literal: every
+# event's full list of D-predecessors, a backward search over D for
+# feasibility, the union of the two backward closures as the support, and
+# a scheduler that counts every predecessor.
+
+
+class ReferencePrediction(NamedTuple):
+    """One candidate's fate: ``outcome`` is ``"ordered"``, ``"stuck"``,
+    ``"unvalidated"`` or ``"validated"``; the other fields are None where
+    the pipeline stopped before computing them."""
+
+    outcome: str
+    support: Optional[set]
+    order: Optional[List[int]]
+    witness: Optional[Tuple[Event, ...]]
+    race: Any
+
+
+class ReferencePredictor:
+    """The dependence relation D of ``docs/prediction.md``, built from a
+    whole stamped trace as explicit predecessor lists, and the candidate
+    pipeline run on it by search.
+
+    ``candidates`` lists ``(object, (a, b))`` in trace order of ``b``.
+    """
+
+    def __init__(self, events, representations, window: int, root=0):
+        self.events = list(events)
+        self.reps = dict(representations)
+        self.root = root
+        self.preds: List[List[int]] = [[] for _ in self.events]
+        self.points: Dict[int, tuple] = {}
+        self.match_release: Dict[int, int] = {}
+        self.candidates: List[Tuple[Any, Tuple[int, int]]] = []
+        last_of_thread: Dict[Any, int] = {}
+        forked_at: Dict[Any, int] = {}
+        lock_stack: Dict[Tuple[Any, Any], List[int]] = {}
+        object_actions: Dict[Any, List[int]] = {}
+        last_unregistered: Dict[Any, int] = {}
+        last_memory: Dict[Any, int] = {}
+        for index, event in enumerate(self.events):
+            preds = self.preds[index]
+            # Program order, or the fork for a thread's first event.
+            prev = last_of_thread.get(event.tid, forked_at.get(event.tid))
+            if prev is not None:
+                preds.append(prev)
+            last_of_thread[event.tid] = index
+            kind = event.kind
+            if kind is EventKind.FORK:
+                forked_at[event.peer] = index
+            elif kind is EventKind.JOIN:
+                last = last_of_thread.get(event.peer,
+                                          forked_at.get(event.peer))
+                if last is not None:
+                    preds.append(last)
+            elif kind is EventKind.ACQUIRE:
+                lock_stack.setdefault((event.tid, event.lock),
+                                      []).append(index)
+            elif kind is EventKind.RELEASE:
+                stack = lock_stack.get((event.tid, event.lock))
+                if stack:
+                    self.match_release[stack.pop()] = index
+            elif kind.is_memory():
+                last = last_memory.get(event.location)
+                if last is not None:
+                    preds.append(last)
+                last_memory[event.location] = index
+            elif kind is EventKind.ACTION:
+                self._add_action(index, event, object_actions,
+                                 last_unregistered, window)
+
+    def _add_action(self, index, event, object_actions, last_unregistered,
+                    window) -> None:
+        preds = self.preds[index]
+        obj = event.action.obj
+        rep = self.reps.get(obj)
+        if rep is None:
+            last = last_unregistered.get(obj)
+            if last is not None:
+                preds.append(last)
+            last_unregistered[obj] = index
+            return
+        points = rep.points_of(event.action)
+        self.points[index] = points
+        prior = object_actions.setdefault(obj, [])
+        if len(prior) > window:
+            preds.append(prior[-window - 1])      # the chain anchor
+        for earlier in prior[-window:]:
+            if not any(rep.conflicts(p, q)
+                       for p in self.points[earlier] for q in points):
+                continue
+            preds.append(earlier)
+            other = self.events[earlier]
+            if (other.tid != event.tid
+                    and other.clock.leq(event.clock)):
+                self.candidates.append((obj, (earlier, index)))
+        prior.append(index)
+
+    def closure(self, starts) -> set:
+        """Every event reachable backward over D from ``starts``."""
+        seen: set = set()
+        stack = list(starts)
+        while stack:
+            entry = stack.pop()
+            if entry not in seen:
+                seen.add(entry)
+                stack.extend(self.preds[entry])
+        return seen
+
+    def ordered(self, first: int, second: int) -> bool:
+        """Is ``first`` in the D-closure of ``second`` without the direct
+        edge?  Edges lower the index, so a branch below ``first`` is cut."""
+        seen: set = set()
+        stack = [p for p in self.preds[second] if p != first]
+        while stack:
+            entry = stack.pop()
+            if entry == first:
+                return True
+            if entry > first and entry not in seen:
+                seen.add(entry)
+                stack.extend(self.preds[entry])
+        return False
+
+    def resolve(self, obj, pair: Tuple[int, int]) -> ReferencePrediction:
+        first, second = pair
+        if self.ordered(first, second):
+            return ReferencePrediction("ordered", None, None, None, None)
+        down_second = self.closure(p for p in self.preds[second]
+                                   if p != first)
+        support = ((self.closure(self.preds[first]) | down_second)
+                   - {first, second})
+        order = self.schedule(support)
+        if order is None:
+            return ReferencePrediction("stuck", support, None, None, None)
+        witness = tuple(_unstamped(self.events[entry])
+                        for entry in order + [first, second])
+        race = self.validate(obj, first, second, witness)
+        return ReferencePrediction(
+            "validated" if race is not None else "unvalidated",
+            support, order, witness, race)
+
+    def schedule(self, support: set) -> Optional[List[int]]:
+        """Lock-aware greedy linearization of ``support`` in index order,
+        waiting on every D-predecessor; None when stuck."""
+        events = self.events
+        remaining: Dict[int, int] = {}
+        succs: Dict[int, List[int]] = {}
+        for entry in support:
+            need = 0
+            for pred in self.preds[entry]:
+                if pred in support:
+                    need += 1
+                    succs.setdefault(pred, []).append(entry)
+            remaining[entry] = need
+        ready = [entry for entry in support if remaining[entry] == 0]
+        heapq.heapify(ready)
+        deferred: List[int] = []
+        waiting: Dict[Any, List[int]] = {}
+        held: Dict[Any, Any] = {}
+        order: List[int] = []
+
+        def place(entry: int) -> None:
+            order.append(entry)
+            for succ in succs.get(entry, ()):
+                remaining[succ] -= 1
+                if remaining[succ] == 0:
+                    heapq.heappush(ready, succ)
+
+        while True:
+            progressed = False
+            while ready:
+                entry = heapq.heappop(ready)
+                event = events[entry]
+                if event.kind is EventKind.ACQUIRE:
+                    release = self.match_release.get(entry)
+                    if release is None or release not in support:
+                        heapq.heappush(deferred, entry)
+                        continue
+                    if event.lock in held:
+                        waiting.setdefault(event.lock, []).append(entry)
+                        continue
+                    held[event.lock] = event.tid
+                elif event.kind is EventKind.RELEASE:
+                    held.pop(event.lock, None)
+                    for waiter in waiting.pop(event.lock, ()):
+                        heapq.heappush(ready, waiter)
+                place(entry)
+                progressed = True
+            if len(order) == len(support):
+                return order
+            placed = False
+            stash: List[int] = []
+            while deferred:
+                entry = heapq.heappop(deferred)
+                if events[entry].lock in held:
+                    stash.append(entry)
+                    continue
+                held[events[entry].lock] = events[entry].tid
+                place(entry)
+                placed = True
+                break
+            for entry in stash:
+                heapq.heappush(deferred, entry)
+            if not placed and not progressed:
+                return None
+
+    def validate(self, obj, first: int, second: int, witness):
+        """The replay's report of the candidate race, or None."""
+        from repro.core.detector import CommutativityRaceDetector
+        detector = CommutativityRaceDetector(root=self.root)
+        detector.register_object(obj, self.reps[obj])
+        try:
+            races = detector.run(list(witness))
+        except ReproError:
+            return None
+        target = self.events[second]
+        for race in races:
+            if (race.obj == obj and race.current == target.action
+                    and race.current_tid == target.tid
+                    and race.point in self.points[second]
+                    and race.prior_point in self.points[first]):
+                return race
+        return None
+
+
+def _unstamped(event: Event) -> Event:
+    return Event(kind=event.kind, tid=event.tid, action=event.action,
+                 peer=event.peer, lock=event.lock, location=event.location)
