@@ -19,13 +19,11 @@ import pathlib
 import pstats
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
+from repro.core.detector import CommutativityRaceDetector
+from repro.core.serialize import load_trace
+from repro.specs import bundled_objects
 
-from parallel_scaling import GOLDEN_DIR  # noqa: E402
-
-from repro.core.detector import CommutativityRaceDetector  # noqa: E402
-from repro.core.serialize import load_trace  # noqa: E402
-from repro.specs import bundled_objects  # noqa: E402
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data"
 
 
 def load_case(name: str):

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterator, List, Set, Tuple
 
 from ..core.access_points import AccessPointRepresentation
+from ..core.errors import MonitorError
 from ..core.events import Event, EventKind, ObjectId
 from ..core.trace import Trace
 from ..runtime.shared import is_internal_lock
@@ -113,10 +114,22 @@ class AtomicityChecker:
         if kind is EventKind.ACTION:
             if self.mode is not ConflictMode.COMMUTATIVITY:
                 return
-            rep = self._representations.get(event.action.obj)
+            action = event.action
+            rep = self._representations.get(action.obj)
             if rep is None:
                 return
-            for point in rep.points_of(event.action):
+            try:
+                points = rep.points_of(action)
+                for point in points:
+                    hash(point)  # fail here, not when the graph buckets it
+            except (LookupError, TypeError, ValueError) as exc:
+                # The bound kind cannot interpret this action: a method
+                # it lacks, or an argument that cannot be a point value.
+                raise MonitorError(
+                    f"event {event.index} ({event.label()}): cannot resolve "
+                    f"the access points of {action.obj!r}: "
+                    f"{type(exc).__name__}: {exc}") from exc
+            for point in points:
                 yield ("pt", point), rep
         elif kind.is_memory():
             if self.mode is not ConflictMode.READ_WRITE:

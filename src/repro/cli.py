@@ -168,10 +168,13 @@ def _load_trace_file(path: str):
     A malformed line (invalid JSON) or an unknown event kind is a user
     input problem, not a bug — report which file failed and why instead
     of letting the traceback escape.
+
+    The trace is loaded unstamped: every engine stamps the events itself
+    (or, like Eraser and the atomicity checker, reads no clocks).
     """
     try:
         with open(path, "r", encoding="utf-8") as stream:
-            return load_trace(stream)
+            return load_trace(stream, stamp=False)
     except OSError as exc:
         _fail(f"cannot read trace {path!r}: {exc}", EXIT_DATA)
     except (ReproError, ValueError) as exc:

@@ -488,65 +488,6 @@ class CommutativityRaceDetector:
         self.stats.epoch_deflations += deflated
         return deflated
 
-    def compact_dead_clock_components(self) -> int:
-        """Drop dead threads' clock components everywhere it is sound.
-
-        After a join the joined thread's component stops advancing, but
-        every clock that absorbed it keeps the entry forever — over a
-        never-ending fork/join workload the *width* of every clock grows
-        with the total thread count even though the live set stays small.
-        This retires a dead component ``u`` when all live threads agree on
-        its value ``c`` and no lock clock or active point clock exceeds
-        ``c`` at ``u``: every future stamp would then carry exactly ``c``
-        at ``u`` and every phase-1 comparison at ``u`` would pass, so
-        removing the component from thread clocks, lock clocks and point
-        clocks cannot change any verdict.  Reported clocks *narrow* (the
-        dead entries disappear from race reports), so this is opt-in for
-        streaming mode, and the equivalence suite compares it via verdict
-        keys.
-
-        Returns the number of components retired.  Point clocks are
-        rebuilt, never mutated: reported races may alias them.
-        """
-        floors = []
-        for state in self._objects.values():
-            for prior in state.point_clock.values():
-                floors.append(_as_clock(prior))
-        stripped = self._hb.compact_dead_components(floors)
-        if not stripped:
-            return 0
-        dead = set(stripped)
-        for state in self._objects.values():
-            point_clock = state.point_clock
-            for pt, prior in point_clock.items():
-                if type(prior) is _PointEpoch:
-                    entries = dict(prior.clock.items())
-                    if not any(tid in dead for tid in entries):
-                        continue
-                    narrowed = VectorClock._trusted(
-                        {tid: stamp for tid, stamp in entries.items()
-                         if tid not in dead})
-                    if prior.tid in dead:
-                        # The certificate component itself is gone (a
-                        # future stamp would read 0 there): fall back to
-                        # the narrowed full clock.  A maintenance
-                        # deflation can re-certify it on a live component.
-                        point_clock[pt] = narrowed
-                    else:
-                        # The certificate's thread is live, so its
-                        # component survives compaction on both sides of
-                        # every future comparison: keep the epoch, narrow
-                        # its carried clock.
-                        point_clock[pt] = _PointEpoch(
-                            prior.tid, prior.stamp, narrowed)
-                    continue
-                entries = dict(prior.items())
-                if any(tid in dead for tid in entries):
-                    point_clock[pt] = VectorClock._trusted(
-                        {tid: stamp for tid, stamp in entries.items()
-                         if tid not in dead})
-        return len(stripped)
-
     def registered_objects(self):
         return self._objects.keys()
 

@@ -142,46 +142,6 @@ class HappensBeforeTracker:
         self._joined.difference_update(retired)
         return retired
 
-    def compact_dead_components(self, floors=()) -> list:
-        """Strip dead threads' components from every ``T``/``L`` clock.
-
-        A component ``u`` not belonging to a live thread is *retirable*
-        when every live thread clock agrees on its value ``c`` and no lock
-        clock or ``floors`` clock (the caller's active point clocks)
-        exceeds ``c`` at ``u``.  Then every future stamp carries exactly
-        ``c`` at ``u`` (joins against locks cannot raise it, forks inherit
-        it) and every comparison against a retained clock passes at ``u``,
-        so dropping the entry from thread and lock clocks — and, by the
-        caller, from its point clocks — preserves all verdicts while
-        narrowing the clocks.  Joined-but-unretired threads are retired
-        first.  Returns the list of stripped component tids.
-        """
-        self.retire_joined_threads()
-        live = list(self._threads.values())
-        if not live:
-            return []
-        live_tids = set(self._threads)
-        candidates: dict = {}
-        for clock in live:
-            for tid, stamp in clock.items():
-                if tid not in live_tids:
-                    candidates.setdefault(tid, stamp)
-        stripped = []
-        for tid, agreed in candidates.items():
-            if any(clock[tid] != agreed for clock in live):
-                continue
-            if any(lock[tid] > agreed for lock in self._locks.values()):
-                continue
-            if any(floor[tid] > agreed for floor in floors):
-                continue
-            stripped.append(tid)
-        for tid in stripped:
-            for clock in live:
-                clock.set_component(tid, 0)
-            for lock in self._locks.values():
-                lock.set_component(tid, 0)
-        return stripped
-
     # -- event processing -----------------------------------------------------
 
     def observe(self, event: Event) -> VectorClock:

@@ -14,13 +14,8 @@ footprint — what can still race — instead of the history:
   ENUMERATE loop's intern table.
 * **Thread retirement** (every ``window`` events): joined threads' clocks
   leave the happens-before tables; the thread table tracks the live set,
-  not the fork total.
-* **Clock compaction** (``compact_clocks=True``, opt-in): dead threads'
-  components are stripped from every surviving clock where provably
-  verdict-preserving.  Reported clocks narrow, so equivalence is stated
-  on verdict keys, and default streaming keeps it off: with it off,
-  streaming race reports are **byte-identical** to the batch detector's
-  on the same trace.
+  not the fork total.  Streaming race reports stay **byte-identical** to
+  the batch detector's on the same trace.
 * **Epoch deflation** (every ``window`` events): points that contention
   inflated to full vector clocks are re-certified back to O(1) epochs
   once the live thread clocks cover them on all but one component —
@@ -65,8 +60,8 @@ class StreamAnalyzer:
     :class:`~repro.core.detector.CommutativityRaceDetector`: events go
     through :meth:`process` one at a time (no trace object, no length
     known up front), and every ``window`` events the analyzer retires
-    dead threads, optionally compacts clocks, samples the memory gauges
-    and fires ``on_window``.  Detector-level pruning/eviction rides the
+    dead threads, deflates point clocks, samples the memory gauges and
+    fires ``on_window``.  Detector-level pruning/eviction rides the
     detector's own ``prune_interval`` counter, so a streaming run with
     ``prune_interval=k`` reports byte-identically to a batch detector
     constructed with the same ``prune_interval=k`` — and pruning itself
@@ -74,7 +69,7 @@ class StreamAnalyzer:
 
     ``peak_active`` / ``peak_interned`` record the high-water marks seen
     at maintenance boundaries — the quantities the streaming memory gate
-    in ``bench/parallel_scaling.py --stream`` bounds.
+    (``benchmarks/test_gates.py::test_streaming_memory_bound``) bounds.
     """
 
     def __init__(
@@ -85,7 +80,6 @@ class StreamAnalyzer:
         keep_reports: bool = True,
         prune_interval: int = 256,
         window: int = 1024,
-        compact_clocks: bool = False,
         obs=None,
         on_window: Optional[Callable[["StreamAnalyzer"], None]] = None,
         predict_window: int = 0,
@@ -98,7 +92,6 @@ class StreamAnalyzer:
             obs=obs, predict_window=predict_window)
         self._predict = bool(predict_window)
         self._window = window
-        self._compact_clocks = compact_clocks
         self._on_window = on_window
         self._obs = self._detector._obs
         self._since_maintenance = 0
@@ -107,7 +100,6 @@ class StreamAnalyzer:
         self.peak_active = 0
         self.peak_interned = 0
         self.threads_retired = 0
-        self.components_compacted = 0
         self.points_deflated = 0
 
     # -- delegation --------------------------------------------------------
@@ -154,15 +146,12 @@ class StreamAnalyzer:
         return self.finish()
 
     def maintain(self) -> None:
-        """One maintenance cycle: retire, compact, deflate, sample."""
+        """One maintenance cycle: retire, deflate, sample."""
         self._since_maintenance = 0
         self.windows_completed += 1
         detector = self._detector
         self.threads_retired += len(
             detector.happens_before.retire_joined_threads())
-        if self._compact_clocks:
-            self.components_compacted += (
-                detector.compact_dead_clock_components())
         # Re-certify inflated points back to O(1) epochs against the live
         # clocks: contention that has since been ordered stops taxing
         # every later check.

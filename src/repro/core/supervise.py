@@ -38,11 +38,14 @@ and, when observability is on, as registry counters (``shard_timeouts``,
 ``shard_fallbacks``, plus the ``faults_by_kind`` breakdown), so a tolerated
 fault is always visible in ``--stats-json``.
 
-Task-side pickling failures (the *payload* cannot be shipped) are the one
-non-recoverable class: they are a caller input problem, so the supervisor
-asks its ``diagnose`` callback to turn them into a precise
-:class:`~repro.core.errors.MonitorError` naming the offending object
-instead of retrying a deterministic failure.
+Input errors are not retried.  A worker that raises a
+:class:`~repro.core.errors.ReproError` (an action the bound kind cannot
+interpret, say) would raise it again on every attempt, so the child sends
+the error itself back and the round raises it in the parent once its
+children are joined.  Task-side pickling failures (the *payload* cannot
+be shipped) are the other deterministic class: the supervisor asks its
+``diagnose`` callback to turn them into a precise
+:class:`~repro.core.errors.MonitorError` naming the offending object.
 
 For deterministic robustness testing, the worker can be wrapped with a
 fault-injection plan (:attr:`SupervisorConfig.wrap`, or the
@@ -59,6 +62,7 @@ import time
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple)
 
+from .errors import ReproError
 from .faults import FaultLog
 
 __all__ = ["DEFAULT_SHARD_TIMEOUT", "ANALYZER_POLICIES", "QuarantinePolicy",
@@ -69,8 +73,9 @@ def _run_child(worker: Callable, index: int, attempt: int, blob: bytes,
                conn) -> None:
     """Child-process target: run one shard attempt, answer over ``conn``.
 
-    The answer is ``("ok", result)`` or ``("error", kind, detail)``; a
-    child that dies before answering closes the pipe unanswered.
+    The answer is ``("ok", result)``, ``("raise", error)`` for an input
+    error the parent re-raises, or ``("error", kind, detail)``; a child
+    that dies before answering closes the pipe unanswered.
     """
     try:
         result = worker(index, pickle.loads(blob), attempt)
@@ -79,6 +84,8 @@ def _run_child(worker: Callable, index: int, attempt: int, blob: bytes,
         except Exception as exc:
             conn.send(("error", "result-unpicklable",
                        f"{type(exc).__name__}: {exc}"))
+    except ReproError as exc:
+        conn.send(("raise", exc))
     except Exception as exc:
         conn.send(("error", "worker-raised", f"{type(exc).__name__}: {exc}"))
     finally:
@@ -335,12 +342,14 @@ class ShardSupervisor:
         child starts, so earlier children replay while later payloads
         serialize.  ``finally`` terminates and joins every child this
         round started — hung ones, and all of them when an exception such
-        as ``KeyboardInterrupt`` escapes — so no orphan outlives it.
+        as ``KeyboardInterrupt`` escapes — so no orphan outlives it.  An
+        input error a child sends back is raised after that.
         """
         timeout = self._config.shard_timeout
         ctx = multiprocessing.get_context(self._mp_context)
         failures: List[Tuple[int, int, str, str, bool]] = []
         children: List[Tuple[int, int, Any, Any]] = []
+        raised: Optional[ReproError] = None
         try:
             for index, attempt in jobs:
                 try:
@@ -379,6 +388,9 @@ class ShardSupervisor:
                                      f"(hung worker)", True))
                 elif answer[0] == "ok":
                     results[index] = answer[1]
+                elif answer[0] == "raise":
+                    raised = answer[1]
+                    break
                 else:
                     _, kind, detail = answer
                     if kind == "worker-raised":
@@ -394,6 +406,8 @@ class ShardSupervisor:
                     proc.terminate()
                 proc.join()
                 conn.close()
+        if raised is not None:
+            raise raised
         return failures
 
     @staticmethod

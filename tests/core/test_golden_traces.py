@@ -18,7 +18,7 @@ from repro.core.serialize import load_trace
 from repro.specs import bundled_objects
 
 from tests.support import (inflate_point_clocks, race_snapshot,
-                           run_with_plain_clocks, verdict_keys)
+                           run_with_plain_clocks)
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 EXPECTED_DIR = DATA_DIR / "expected"
@@ -179,23 +179,6 @@ def test_streaming_axis_matches_snapshot(name, prune_interval):
     analyzer.run(trace)
     assert [race_snapshot(race) for race in analyzer.races] \
         == expected["races"]
-
-
-@pytest.mark.parametrize("name", GOLDEN_NAMES)
-def test_compact_clocks_axis_matches_snapshot_verdicts(name):
-    # Dead-component compaction narrows reported clocks, so the
-    # equivalence is on verdict keys.
-    from repro.core.stream import StreamAnalyzer
-    trace, expected = load_case(name)
-    registry = bundled_objects()
-    analyzer = StreamAnalyzer(root=trace.root, prune_interval=1, window=2,
-                              compact_clocks=True)
-    for obj, kind in expected["bindings"].items():
-        analyzer.register_object(obj, registry[kind].representation())
-    analyzer.run(trace)
-    assert verdict_keys(analyzer.races) == sorted(
-        (race["obj"], race["current"], race["point"], race["prior_point"])
-        for race in expected["races"])
 
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)

@@ -22,7 +22,7 @@ from repro.core.stream import FollowStatus, StreamAnalyzer, follow_analyze
 
 from tests.support import (build_multi_object_trace,
                            random_multi_object_program, race_snapshot,
-                           register_bindings, verdict_keys)
+                           register_bindings)
 
 
 def write_trace(tmp_path, trace, name="trace.jsonl"):
@@ -236,21 +236,6 @@ class TestStreamAnalyzer:
         hb = analyzer.detector.happens_before
         assert analyzer.threads_retired == 3
         assert hb.known_threads() == {trace.root}
-
-    def test_compact_clocks_preserves_verdicts(self):
-        for seed in range(25):
-            trace, bindings = build_multi_object_trace(
-                random_multi_object_program(seed))
-            batch = batch_races(trace, bindings)
-            compacting = register_bindings(
-                StreamAnalyzer(root=trace.root, prune_interval=1, window=2,
-                               compact_clocks=True),
-                bindings)
-            compacting.run(trace)
-            # Compaction narrows reported clocks, so equivalence is on
-            # verdict keys, not clock bytes.
-            assert (verdict_keys(compacting.races)
-                    == verdict_keys(batch.races)), f"seed {seed}"
 
     def test_peaks_track_footprint(self):
         program = (("dictionary",), 5, 3, 30, 0.0, True)

@@ -102,6 +102,7 @@ class TestUninterpretableActions:
         "workers": ["--workers", "2"],
         "predict": ["--predict"],
         "follow": ["--follow", "--follow-timeout", "5"],
+        "atomicity": ["--atomicity"],
     }
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))

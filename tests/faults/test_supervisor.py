@@ -13,9 +13,14 @@ import time
 import pytest
 
 from repro.core.errors import MonitorError
+from repro.core.events import NIL
 from repro.core.faults import FaultLog
+from repro.core.parallel import ShardedDetector
 from repro.core.supervise import ShardSupervisor, SupervisorConfig
+from repro.core.trace import TraceBuilder
 from repro.obs.registry import Registry
+from repro.specs.dictionary import dictionary_representation
+from repro.specs.set_spec import set_representation
 from repro.testing.faults import FaultPlan, FaultSpec
 
 from tests.faults._workers import double, echo
@@ -125,6 +130,31 @@ def test_diagnose_turns_worker_error_into_callers_exception():
                      diagnose=lambda index, exc: MonitorError(f"shard {index}"))
     with pytest.raises(MonitorError, match="shard 0"):
         sup.run(["a", "b"])
+    assert not multiprocessing.active_children()
+
+
+def test_worker_input_error_is_raised_once_without_retry():
+    """Shard replay is pure, so an input error recurs on every attempt:
+    it is raised in the parent at once, never retried or replayed."""
+    trace = (TraceBuilder(root=0)
+             .fork(0, 1)
+             .invoke(1, "p", "put", "k", 1, returns=NIL)
+             .invoke(0, "o", "enq", 1, returns=NIL)
+             .join(0, 1)
+             .build())
+    sleeps = []
+    detector = ShardedDetector(root=0, workers=2, mp_context=START_METHOD,
+                               supervisor=SupervisorConfig(
+                                   sleep=sleeps.append))
+    detector.register_object("o", set_representation())
+    detector.register_object("p", dictionary_representation())
+    with pytest.raises(MonitorError,
+                       match=r"event 2 \(0: o\.enq\(1\)/nil\).*"
+                             r"set has no method 'enq'"):
+        detector.run(trace)
+    assert not any(kind.startswith("shard/")
+                   for kind in detector.faults.snapshot()["counts"])
+    assert sleeps == []
     assert not multiprocessing.active_children()
 
 

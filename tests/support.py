@@ -166,7 +166,7 @@ def build_multi_object_trace(program, registry=None):
 # arguments from *other* threads (non-commutative method pairs on the same
 # access point → promotions and races), and workers are continuously joined
 # and replaced by fresh tids (dead components inside carried epoch clocks →
-# deflation, compaction and pruning all get real work).
+# deflation and pruning both get real work).
 
 
 def contention_program(seed: int, kinds: Tuple[str, ...] = DEFAULT_KINDS,
@@ -201,7 +201,7 @@ def build_contention_trace(program, registry=None, repeat_bias: float = 0.75,
       worker is joined into the root and replaced by a brand-new tid that
       inherits its remaining budget.  The tid space keeps growing, old
       components go dead inside carried epoch clocks, and every
-      maintenance pass (deflation, compaction, pruning) sees the state it
+      maintenance pass (deflation, pruning) sees the state it
       exists for.
     """
     object_kinds, seed, threads, ops, lock_rate, churn_rate = program
@@ -337,17 +337,6 @@ def race_snapshot(race) -> dict:
         "current_clock": clock_items(race.current_clock),
         "prior_clock": clock_items(race.prior_clock),
     }
-
-
-def verdict_keys(races) -> List[Tuple]:
-    """Order- and clock-insensitive race identity (sorted).
-
-    Clock compaction narrows reported clocks and the SCAN strategy
-    reorders reports within an event, so equivalence across those is
-    stated on (object, action, point pair) identity.
-    """
-    return sorted((str(r.obj), str(r.current), str(r.point),
-                   str(r.prior_point)) for r in races)
 
 
 def sample_actions(kind: str, count: int = 60, seed: int = 13,

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.serialize import dump_trace
-from repro.core.trace import TraceBuilder
+from repro.core.trace import Trace, TraceBuilder
 from repro.core.events import NIL
 from repro.logic.pretty import spec_report
 from repro.specs.dictionary import dictionary_spec
@@ -426,6 +426,41 @@ class TestObservabilityFlags:
     def test_without_flags_no_stats_output(self, racy_trace_file, capsys):
         main([racy_trace_file, "--object", "o=dictionary"])
         assert capsys.readouterr().err == ""
+
+
+class TestStampOnce:
+    """The trace is loaded unstamped: each engine stamps it itself, or
+    reads no clocks, so ``Trace.stamp`` never runs and output and exit
+    code are unchanged."""
+
+    MODES = {
+        "rd2": ("racy_trace_file", ["--object", "o=dictionary"]),
+        "workers": ("racy_trace_file",
+                    ["--object", "o=dictionary", "--workers", "2"]),
+        "predict": ("predictable_trace_file",
+                    ["--object", "o=dictionary", "--predict"]),
+        "direct": ("racy_trace_file",
+                   ["--object", "o=dictionary", "--detector", "direct"]),
+        "fasttrack": ("racy_trace_file", ["--detector", "fasttrack"]),
+        "eraser": ("racy_trace_file", ["--detector", "eraser"]),
+        "atomicity": ("racy_trace_file",
+                      ["--object", "o=dictionary", "--atomicity"]),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_analysis_never_stamps_the_loaded_trace(self, request, capsys,
+                                                    monkeypatch, mode):
+        fixture, args = self.MODES[mode]
+        argv = [request.getfixturevalue(fixture), *args]
+        code = main(argv)
+        out = capsys.readouterr().out
+
+        def refuse(trace):
+            raise AssertionError("repro-analyze stamped the loaded trace")
+
+        monkeypatch.setattr(Trace, "stamp", refuse)
+        assert main(argv) == code == 1
+        assert capsys.readouterr().out == out
 
 
 class TestTraceErrors:
