@@ -25,8 +25,9 @@ Observability sinks (see :mod:`repro.obs`):
   as JSONL for offline flamegraph-style analysis.
 
 Fault tolerance (see ``docs/robustness.md``): multi-worker rd2 runs are
-supervised (``--shard-timeout``, ``--shard-retries``); a killed run is
-run again.  Tolerated faults are summarized on stderr and recorded under
+supervised, and a shard whose worker raises, dies or stays silent past
+``--shard-timeout`` is replayed in-process at once; a killed run is run
+again.  Tolerated faults are summarized on stderr and recorded under
 ``"faults"`` in the ``--stats-json`` report.
 
 Exit codes are part of the scripting interface (see ``EXIT_*``): 0 clean,
@@ -45,7 +46,7 @@ from .core.errors import ReproError
 from .core.races import group_races, tally
 from .core.serialize import load_trace
 from .obs import (NULL_REGISTRY, Registry, SpanStream, build_report,
-                  publish_detector_stats, render_table, write_report)
+                  publish_detector_stats, render_table, save_report)
 from .specs import bundled_objects
 
 __all__ = ["main", "EXIT_CLEAN", "EXIT_REPORTS", "EXIT_USAGE", "EXIT_DATA",
@@ -185,7 +186,7 @@ def _load_trace_file(path: str):
 
 def _analyze_commutativity(trace, bindings, detector_kind: str,
                            workers: int = 1, obs=NULL_REGISTRY,
-                           supervisor=None,
+                           shard_timeout: Optional[float] = None,
                            prune_interval: int = 0,
                            predict_window: int = 0,
                            ) -> Tuple[int, Optional[Dict[str, Any]],
@@ -194,12 +195,14 @@ def _analyze_commutativity(trace, bindings, detector_kind: str,
     if not bindings:
         _fail("commutativity analysis needs at least one --object NAME=KIND",
               EXIT_USAGE)
-    if detector_kind == "rd2" and (workers > 1 or supervisor is not None):
+    if detector_kind == "rd2" and (workers > 1 or shard_timeout is not None):
         from .core.parallel import ShardedDetector
-        detector = ShardedDetector(root=trace.root, workers=workers,
-                                   prune_interval=prune_interval,
-                                   obs=obs, supervisor=supervisor,
-                                   predict_window=predict_window)
+        from .core.supervise import DEFAULT_SHARD_TIMEOUT
+        detector = ShardedDetector(
+            root=trace.root, workers=workers, prune_interval=prune_interval,
+            obs=obs, predict_window=predict_window,
+            shard_timeout=(DEFAULT_SHARD_TIMEOUT if shard_timeout is None
+                           else shard_timeout))
     elif detector_kind == "rd2":
         from .core.detector import CommutativityRaceDetector
         detector = CommutativityRaceDetector(root=trace.root,
@@ -284,12 +287,7 @@ def _analyze_follow(path: str, bindings, obs=NULL_REGISTRY,
         if predict_window:
             report["predicted"] = [prediction.snapshot()
                                    for prediction in analyzer.predicted]
-        # Write-then-rename so a reader polling the snapshot never sees a
-        # half-written report.
-        tmp = f"{stats_json}.tmp"
-        with open(tmp, "w", encoding="utf-8") as out:
-            write_report(report, out)
-        os.replace(tmp, stats_json)
+        save_report(report, stats_json)
 
     def build(root) -> "StreamAnalyzer":
         analyzer = StreamAnalyzer(root=root, on_race=on_race,
@@ -318,8 +316,8 @@ def _analyze_follow(path: str, bindings, obs=NULL_REGISTRY,
         declared = ("?" if status.declared_events is None
                     else status.declared_events)
         print(f"repro-analyze: follow: no new events for {idle_timeout:g}s; "
-              f"trace incomplete ({status.events_read} of {declared} events, "
-              f"resume offset {status.resume_offset})", file=sys.stderr)
+              f"trace incomplete ({status.events_read} of {declared} "
+              f"events)", file=sys.stderr)
     if meta_base is not None:
         # Keep the final report on the follow-mode snapshot schema: the
         # periodic snapshots carry a "windows" count, and so must the
@@ -406,11 +404,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "one pickled payload per shard; default "
                              "1 = sequential)")
     parser.add_argument("--shard-timeout", default=None, metavar="SECONDS",
-                        help="per-shard supervision timeout for --workers "
-                             "runs (default 120)")
-    parser.add_argument("--shard-retries", default=None, metavar="N",
-                        help="retries per failed shard before falling "
-                             "back to in-process replay (default 2)")
+                        help="seconds the shard workers of a --workers run "
+                             "have to answer; a shard whose worker fails or "
+                             "stays silent is replayed in-process "
+                             "(default 120)")
     parser.add_argument("--prune-interval", default=None, metavar="N",
                         dest="prune_interval",
                         help="rd2: every N actions, reclaim active points "
@@ -487,8 +484,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _fail("a trace file is required (or use --spec-report)", EXIT_USAGE)
 
     workers = _parse_workers(args.workers)
-    supervisor = _parse_supervisor(args)
-    sharded = workers > 1 or supervisor is not None
+    shard_timeout = _parse_shard_timeout(args)
+    sharded = workers > 1 or shard_timeout is not None
     if sharded and (args.detector != "rd2" or args.atomicity):
         _fail("--workers and --shard-* apply only to the rd2 detector",
               EXIT_USAGE)
@@ -549,7 +546,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             elif args.detector in ("rd2", "direct"):
                 code, faults, predicted = _analyze_commutativity(
                     trace, bindings, args.detector, workers=workers, obs=obs,
-                    supervisor=supervisor, prune_interval=prune_interval,
+                    shard_timeout=shard_timeout,
+                    prune_interval=prune_interval,
                     predict_window=predict_window)
             else:
                 code, faults = _analyze_memory(trace, args.detector, obs=obs)
@@ -583,43 +581,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report["predicted"] = [prediction.snapshot()
                                    for prediction in predicted]
         if args.stats_json:
-            # Write-then-rename, like the periodic --follow snapshots: a
-            # reader polling the report must never observe a half-written
-            # file, least of all from the final rewrite on exit.
-            tmp = f"{args.stats_json}.tmp"
-            with open(tmp, "w", encoding="utf-8") as out:
-                write_report(report, out)
-            os.replace(tmp, args.stats_json)
+            save_report(report, args.stats_json)
         if args.stats:
             print(render_table(report), file=sys.stderr)
     return code
 
 
-def _parse_supervisor(args):
-    """Build a SupervisorConfig iff a supervision flag was given."""
-    if args.shard_timeout is None and args.shard_retries is None:
+def _parse_shard_timeout(args) -> Optional[float]:
+    """``--shard-timeout`` in seconds, or None when it was not given."""
+    if args.shard_timeout is None:
         return None
-    from .core.supervise import SupervisorConfig
-    kwargs: Dict[str, Any] = {}
-    if args.shard_timeout is not None:
-        try:
-            timeout = float(args.shard_timeout)
-        except ValueError:
-            _fail(f"--shard-timeout expects a number of seconds, got "
-                  f"{args.shard_timeout!r}", EXIT_USAGE)
-        if timeout <= 0:
-            _fail(f"--shard-timeout must be > 0, got {timeout:g}", EXIT_USAGE)
-        kwargs["shard_timeout"] = timeout
-    if args.shard_retries is not None:
-        try:
-            retries = int(args.shard_retries)
-        except ValueError:
-            _fail(f"--shard-retries expects a non-negative integer, got "
-                  f"{args.shard_retries!r}", EXIT_USAGE)
-        if retries < 0:
-            _fail(f"--shard-retries must be >= 0, got {retries}", EXIT_USAGE)
-        kwargs["max_retries"] = retries
-    return SupervisorConfig(**kwargs)
+    try:
+        timeout = float(args.shard_timeout)
+    except ValueError:
+        _fail(f"--shard-timeout expects a number of seconds, got "
+              f"{args.shard_timeout!r}", EXIT_USAGE)
+    if timeout <= 0:
+        _fail(f"--shard-timeout must be > 0, got {timeout:g}", EXIT_USAGE)
+    return timeout
 
 
 if __name__ == "__main__":

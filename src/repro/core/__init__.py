@@ -22,7 +22,7 @@ from .races import (CommutativityRace, DataRace, LocksetWarning, RaceGroup,
 from .serialize import (TailReader, dump_trace, dumps_trace, follow_trace,
                         load_trace, loads_trace)
 from .stream import FollowStatus, StreamAnalyzer, follow_analyze
-from .supervise import ShardSupervisor, SupervisorConfig
+from .supervise import ShardSupervisor
 from .trace import Trace, TraceBuilder
 from .vector_clock import BOTTOM, MutableVectorClock, Tid, VectorClock
 
@@ -34,7 +34,7 @@ __all__ = [
     "CheckpointError", "FragmentError", "MonitorError", "ParseError",
     "ReproError", "SchedulerError", "SpecificationError", "TranslationError",
     "FaultLog", "FaultRecord",
-    "ShardSupervisor", "SupervisorConfig",
+    "ShardSupervisor",
     "NIL", "Nil", "Action", "Event", "EventKind", "ObjectId",
     "acquire_event", "action_event", "fork_event", "join_event",
     "read_event", "release_event", "write_event",

@@ -35,8 +35,8 @@ class FaultRecord:
     ``site`` names the component that saw it (``shard``, ``analyzer``,
     ``tenant``); ``kind`` the failure mode within that site (``timeout``,
     ``worker-raised``, ``fallback``, ``exception``, ``quarantined``...).
-    ``shard`` and ``attempt`` are populated where they make sense
-    (supervision and analyzer fault counting).
+    ``shard`` is set by shard supervision, ``attempt`` by analyzer fault
+    counting (the analyzer's fault number).
     """
 
     site: str

@@ -40,10 +40,11 @@ property suite in ``tests/integration/test_sharded_differential.py``
 checks exactly that across randomized multi-object traces.
 
 Phase B is fault-tolerant: it runs under a
-:class:`~repro.core.supervise.ShardSupervisor` (timeouts, bounded retry,
-in-process fallback — the identity guarantee above holds even when shard
-workers crash, hang, or return unpicklable results), and every tolerated
-failure lands in :attr:`ShardedDetector.faults`.  Phase A keeps no
+:class:`~repro.core.supervise.ShardSupervisor` (a timeout, and an
+in-process replay of every shard whose worker failed — the identity
+guarantee above holds even when shard workers crash, hang, or return
+unpicklable results), and every tolerated failure lands in
+:attr:`ShardedDetector.faults`.  Phase A keeps no
 snapshots: a killed run is simply run again, since stamping from event
 zero costs less than loading and verifying a snapshot would.
 """
@@ -64,7 +65,7 @@ from .events import (Action, EventKind, ObjectId,
 from .faults import FaultLog
 from .hb import HappensBeforeTracker
 from .races import CommutativityRace
-from .supervise import ShardSupervisor, SupervisorConfig
+from .supervise import DEFAULT_SHARD_TIMEOUT, ShardSupervisor
 from .vector_clock import Tid
 
 __all__ = ["ShardedDetector", "partition_by_load"]
@@ -176,13 +177,13 @@ def _analyze_shard(payload: _ShardPayload):
     return triples, detector.stats, obs
 
 
-def _shard_job(index: int, payload: _ShardPayload, attempt: int):
+def _shard_job(index: int, payload: _ShardPayload):
     """Supervised-worker adapter: ignores the supervision bookkeeping.
 
-    The supervisor's worker contract is ``worker(index, payload, attempt)``
-    so retries are distinguishable (and so the fault harness can key on
-    shard and attempt); the shard computation itself depends only on the
-    payload — every attempt, child or inline, replays identically.
+    The supervisor's worker contract is ``worker(index, payload)`` so the
+    fault harness can key on the shard; the shard computation itself
+    depends only on the payload — a child and the in-process fallback
+    replay it identically.
     """
     return _analyze_shard(payload)
 
@@ -191,13 +192,12 @@ def _diagnose_unpicklable(payload: _ShardPayload,
                           exc: Exception) -> Optional[MonitorError]:
     """Explain a shard failure that is really a task-pickling failure.
 
-    The supervisor asks before it degrades a payload that would not
-    pickle, and whenever a worker raises or dies: retrying a
-    deterministic serialization failure is useless.  If the payload truly
-    does not pickle, pinpoint the object (and which of its parts) to
-    blame and return a :class:`MonitorError` for the caller; if it
-    pickles fine, return None — the worker genuinely failed with ``exc``
-    and normal retry/fallback handling applies.
+    The supervisor asks before it replays in-process a payload that
+    would not pickle, and whenever a worker raises or dies.  If the
+    payload truly does not pickle, pinpoint the object (and which of its
+    parts) to blame and return a :class:`MonitorError` for the caller; if
+    it pickles fine, return None — the worker genuinely failed with
+    ``exc`` and the shard is replayed in-process.
     """
     try:
         pickle.dumps(payload)
@@ -255,10 +255,11 @@ class ShardedDetector:
         per-shard ``shard`` replay span) that is shipped back with the
         shard's stats and absorbed here, alongside the existing
         ``DetectorStats.absorb`` merge.
-    supervisor:
-        Optional :class:`SupervisorConfig` for the
-        :class:`~repro.core.supervise.ShardSupervisor` that runs phase B
-        — per-shard timeout, bounded retry, in-process fallback.
+    shard_timeout:
+        Seconds the :class:`~repro.core.supervise.ShardSupervisor` that
+        runs phase B gives the shard workers to answer; a silent worker
+        is hung, and its shard is replayed in-process like any other
+        failed one.
     prune_interval:
         As for the sequential detector: every N actions, reclaim active
         points (and their interned entries) that are ordered before every
@@ -286,7 +287,7 @@ class ShardedDetector:
         workers: Optional[int] = None,
         mp_context: Optional[str] = None,
         obs=None,
-        supervisor: Optional[SupervisorConfig] = None,
+        shard_timeout: float = DEFAULT_SHARD_TIMEOUT,
         prune_interval: int = 0,
         backend: Optional[str] = None,
         predict_window: int = 0,
@@ -294,6 +295,8 @@ class ShardedDetector:
         if predict_window < 0:
             raise MonitorError(
                 f"predict_window must be >= 0, got {predict_window}")
+        if shard_timeout <= 0:
+            raise ValueError(f"shard_timeout must be > 0, got {shard_timeout}")
         self._root = root
         self._prune_interval = prune_interval
         self._prune_snaps: List[Tuple[int, List[Any]]] = []
@@ -305,7 +308,7 @@ class ShardedDetector:
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
         self._mp_context = mp_context
-        self._supervisor_config = supervisor
+        self._shard_timeout = shard_timeout
         resolve_backend(backend)
         self._registrations: Dict[ObjectId, Tuple[Any, Strategy, Any]] = {}
         self._hb: Optional[HappensBeforeTracker] = None
@@ -450,7 +453,7 @@ class ShardedDetector:
             return [_analyze_shard(payload) for payload in payloads]
         supervisor = ShardSupervisor(
             _shard_job, mp_context=self._mp_context,
-            config=self._supervisor_config, obs=self._obs, faults=self.faults,
+            timeout=self._shard_timeout, obs=self._obs, faults=self.faults,
             diagnose=lambda index, exc: _diagnose_unpicklable(
                 payloads[index], exc))
         return supervisor.run(payloads)

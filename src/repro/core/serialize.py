@@ -207,10 +207,10 @@ class TailReader:
     This reader makes that distinction mechanical.  It reads the file in
     chunks, decodes every newline-terminated record, and stops at the
     first incomplete one, remembering its byte offset; the next
-    :meth:`poll` (or a fresh reader built with ``resume_offset``) retries
-    from there, so a writer killed mid-record leaves the reader parked at
-    the last complete event instead of wedged or crashed.  A *complete*
-    line that fails to decode is real corruption and still raises.
+    :meth:`poll` retries from there, so a writer killed mid-record leaves
+    the reader parked at the last complete event instead of wedged or
+    crashed.  A *complete* line that fails to decode is real corruption
+    and still raises.
 
     Typical loop::
 
@@ -233,9 +233,7 @@ class TailReader:
     never complete.
     """
 
-    def __init__(self, path: str, resume_offset: Optional[int] = None,
-                 root: Any = None, declared_events: Optional[int] = None,
-                 events_read: int = 0, chunk_size: int = 1 << 16,
+    def __init__(self, path: str, chunk_size: int = 1 << 16,
                  max_record_bytes: int = MAX_RECORD_BYTES, obs=None):
         if max_record_bytes < 1:
             raise ValueError(
@@ -246,44 +244,12 @@ class TailReader:
         self._obs = obs if (obs is not None and obs.enabled) else None
         #: True when the last poll ended on a partially written record.
         self.truncated = False
-        if resume_offset is None:
-            self.offset = 0
-            self.root: Any = None
-            self.declared_events: Optional[int] = None
-            self.events_read = 0
-            self._header_done = False
-        else:
-            # Resuming a previous reader's position: the header was
-            # already consumed, so the caller supplies its fields —
-            # including how many events the prefix held, so ``done``
-            # still means "declared count reached".
-            self.offset = resume_offset
-            self.root = root
-            self.declared_events = declared_events
-            self.events_read = events_read
-            self._header_done = True
-
-    @classmethod
-    def from_status(cls, path: str, status, **kwargs) -> "TailReader":
-        """Resume from a :class:`~repro.core.stream.FollowStatus`.
-
-        A reader resumed from a bare byte offset has no header fields:
-        with ``declared_events`` unknown, ``done`` can never turn true
-        and every resumed follow runs to its idle timeout even when the
-        writer finished cleanly.  The follow status carries the full
-        resume metadata — offset, root, declared count, events already
-        read — so this constructor is the one that preserves completion
-        detection across a killed-writer resume.
-        """
-        if status.resume_offset == 0:
-            # The previous follow never got past the header: nothing was
-            # consumed, so resume as a fresh reader (a resume_offset of 0
-            # with ``_header_done`` set would skip header parsing).
-            return cls(path, **kwargs)
-        return cls(path, resume_offset=status.resume_offset,
-                   root=status.root,
-                   declared_events=status.declared_events,
-                   events_read=status.events_read, **kwargs)
+        #: Byte offset of the first unread (possibly partial) record.
+        self.offset = 0
+        self.root: Any = None
+        self.declared_events: Optional[int] = None
+        self.events_read = 0
+        self._header_done = False
 
     @property
     def header_ready(self) -> bool:
@@ -301,7 +267,7 @@ class TailReader:
 
         Returns the (possibly empty) list of new events.  Leaves
         ``offset`` at the first byte of the first incomplete record —
-        the resume position — and sets ``truncated`` accordingly.
+        where the next poll starts — and sets ``truncated`` accordingly.
         """
         try:
             handle = open(self._path, "rb")
@@ -339,8 +305,8 @@ class TailReader:
             self.events_read += 1
         remainder = len(buffer) - start
         if remainder > self._max_record:
-            # The unterminated tail can only grow; parking at this resume
-            # offset would retry a record that will never fit the cap.
+            # The unterminated tail can only grow; parking at this offset
+            # would retry a record that will never fit the cap.
             self._frame_error(remainder)
         self.truncated = start < len(buffer)
         return events
@@ -368,9 +334,9 @@ def follow_trace(path: str, poll_interval: float = 0.05,
     when the header's declared event count has been read, or — so a
     killed writer cannot wedge the consumer — after ``idle_timeout``
     seconds without a single new complete record (``None`` waits
-    forever).  Pass an existing ``reader`` to resume; inspect it after
-    the generator ends to tell completion (``reader.done``) from an
-    abandoned partial trace (``reader.truncated`` / ``reader.offset``).
+    forever).  Pass your own ``reader`` (to meter it, say) and inspect
+    it after the generator ends to tell completion (``reader.done``) from
+    an abandoned partial trace (``reader.truncated``).
     """
     if reader is None:
         reader = TailReader(path)

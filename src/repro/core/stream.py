@@ -193,17 +193,6 @@ class FollowStatus:
     complete: bool
     events_read: int
     declared_events: Optional[int]
-    #: Byte offset of the first unread (possibly partial) record — a new
-    #: ``TailReader(path, resume_offset=...)`` picks up exactly here.
-    resume_offset: int
-    #: The file ended mid-record (writer killed or still flushing).
-    truncated_tail: bool
-    #: The header's root thread id (``None`` if the header never
-    #: appeared).  Together with ``declared_events`` this makes the
-    #: status complete resume metadata: feed it to
-    #: :meth:`~repro.core.serialize.TailReader.from_status` so a resumed
-    #: reader can still recognize end-of-trace.
-    root: Any = None
 
 
 def follow_analyze(
@@ -222,7 +211,8 @@ def follow_analyze(
     when the declared event count has been read or after
     ``idle_timeout`` seconds without progress — a writer killed
     mid-record therefore stalls the reader for at most the idle budget,
-    never forever, and the returned status carries the resume offset.
+    never forever; to finish an incomplete trace, follow it again from
+    the start.
     Returns ``(analyzer, FollowStatus)``; ``analyzer`` is ``None`` if the
     header never appeared.
     """
@@ -241,8 +231,5 @@ def follow_analyze(
         complete=reader.done,
         events_read=reader.events_read,
         declared_events=reader.declared_events,
-        resume_offset=reader.offset,
-        truncated_tail=reader.truncated,
-        root=reader.root,
     )
     return analyzer, status

@@ -33,7 +33,7 @@ timers are (race attribution per pair is exact — races are rare).
 from .registry import (DEFAULT_SAMPLE_INTERVAL, NULL_REGISTRY, Registry,
                        Timer)
 from .report import (build_report, publish_detector_stats, render_table,
-                     scrub_timings, write_report)
+                     save_report, scrub_timings, write_report)
 from .spans import SpanStream
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "build_report",
     "publish_detector_stats",
     "render_table",
+    "save_report",
     "scrub_timings",
     "write_report",
 ]

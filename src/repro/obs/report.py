@@ -19,12 +19,15 @@ from __future__ import annotations
 
 import copy
 import json
+import os
+import stat
 from typing import IO, Any, Dict, Optional
 
 from .registry import Registry
 
 __all__ = ["REPORT_KEY", "REPORT_VERSION", "build_report", "write_report",
-           "render_table", "scrub_timings", "publish_detector_stats"]
+           "save_report", "render_table", "scrub_timings",
+           "publish_detector_stats"]
 
 REPORT_KEY = "repro-stats"
 REPORT_VERSION = 1
@@ -56,6 +59,29 @@ def write_report(report: Dict[str, Any], stream: IO[str]) -> None:
     """Serialize a report deterministically (sorted keys, trailing \\n)."""
     json.dump(report, stream, indent=2, sort_keys=True)
     stream.write("\n")
+
+
+def save_report(report: Dict[str, Any], path: str) -> None:
+    """Write ``report`` to ``path`` with :func:`write_report`.
+
+    When ``path`` is absent or a regular file, the report goes to
+    ``PATH.tmp`` first and is renamed over ``PATH``, so a reader polling
+    the file never sees half a report.  Anything else — a FIFO, a
+    terminal, ``/dev/stdout`` — is written in place: a rename would
+    replace the special file with a regular one.
+    """
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        with open(path, "w", encoding="utf-8") as out:
+            write_report(report, out)
+        return
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as out:
+        write_report(report, out)
+    os.replace(tmp, path)
 
 
 def scrub_timings(report: Dict[str, Any]) -> Dict[str, Any]:

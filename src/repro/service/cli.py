@@ -19,12 +19,11 @@ every ingest queue stayed within its bound::
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from typing import Optional, Sequence
 
 from ..core.supervise import ANALYZER_POLICIES
+from ..obs.report import save_report
 
 EXIT_CLEAN = 0
 EXIT_FAILED = 1
@@ -76,23 +75,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_stats(path: Optional[str], stats: dict) -> None:
-    if not path:
-        return
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as out:
-        json.dump(stats, out, indent=2, sort_keys=True)
-        out.write("\n")
-    os.replace(tmp, path)
-
-
 def _run_chaos(args) -> int:
     from .chaos import ChaosPlan, run_chaos
     report = run_chaos(ChaosPlan.seeded(args.chaos, tenants=args.tenants),
                        queue_size=args.queue_size,
                        budget_points=args.max_points or 24)
     print(report.summary())
-    _write_stats(args.stats_json, report.stats)
+    if args.stats_json:
+        save_report(report.stats, args.stats_json)
     return EXIT_CLEAN if report.ok else EXIT_FAILED
 
 
@@ -119,7 +109,8 @@ def _serve(args) -> int:
     try:
         server.run()
     finally:
-        _write_stats(args.stats_json, server.merged_stats())
+        if args.stats_json:
+            save_report(server.merged_stats(), args.stats_json)
     return EXIT_CLEAN
 
 

@@ -116,8 +116,8 @@ class ServiceClient:
                 pass
 
     def stream_until_done(self, tenant: str, bindings: Dict[str, str],
-                          trace_text: str, attempts: int = 12,
-                          backoff: float = 0.05) -> List[StreamResult]:
+                          trace_text: str, attempts: int = 12
+                          ) -> List[StreamResult]:
         """The dumb-client loop: reconnect until DONE or refusal sticks.
 
         Retries transparently on the transient endings a real client
@@ -127,6 +127,7 @@ class ServiceClient:
         result; the last one is terminal (DONE, a durable refusal such
         as quarantine/budget, or the attempt budget ran out)."""
         results: List[StreamResult] = []
+        delay = 0.05
         for _ in range(attempts):
             result = self.stream_text(tenant, bindings, trace_text)
             results.append(result)
@@ -137,11 +138,11 @@ class ServiceClient:
                          or result.final.startswith("ERR checkpoint-rejected"))
             if not retryable:
                 break
-            # Exponential backoff: a busy server is usually draining the
-            # kernel-buffered tail of this tenant's killed connection,
-            # which takes as long as its analysis takes.
-            time.sleep(backoff)
-            backoff = min(backoff * 2, 1.0)
+            # Wait twice as long each time, up to 1 s: a busy server is
+            # usually draining the kernel-buffered tail of this tenant's
+            # killed connection, which takes as long as its analysis takes.
+            time.sleep(delay)
+            delay = min(delay * 2, 1.0)
         return results
 
 

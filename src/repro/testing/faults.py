@@ -2,26 +2,27 @@
 
 The fault-tolerance layer's central claim — recovered runs produce
 *exactly* the fault-free output — is only testable if failures can be
-provoked on demand, at a precise shard and attempt, reproducibly.  This
-module provides those failure points:
+provoked on demand, at a precise shard, reproducibly.  This module
+provides those failure points:
 
 * :class:`FaultPlan` / :class:`FaultSpec` — a per-shard schedule of
   injected failures (worker raises, dies, hangs, or returns an unpicklable
-  result), built explicitly, from a seed (:meth:`FaultPlan.seeded`), or
-  from the ``REPRO_FAULT_PLAN`` environment variable so faults can be
-  injected through the real CLI in a subprocess.
+  result), built explicitly or from a seed (:meth:`FaultPlan.seeded`).
+  A plan reaches the supervisor one way, through the ``REPRO_FAULT_PLAN``
+  environment variable (:meth:`FaultPlan.to_env`), so the same plan
+  drives an in-process test and the real CLI in a subprocess.
 * :class:`FaultyAnalyzer` — an analyzer that raises on ``process``, for
   the monitor's isolation policies.
 * :func:`truncate_file` — cuts a file (a checkpoint, a trace) short the
   way a crash mid-write or a bad disk would.
 
-Determinism rules: a fault fires based only on ``(shard index, attempt
-number)``, both supplied by the supervisor, so a plan replays identically
-across runs and start methods.  Faults fire **only inside shard worker
-processes** (``multiprocessing.parent_process() is not None``): the
-supervisor's in-process fallback and the inline sharding path stay
-clean, which is precisely the recovery behavior under test — and it
-keeps an over-scheduled ``exit`` fault from killing the test runner
+Determinism rules: a fault fires based only on the shard index,
+supplied by the supervisor, so a plan replays identically across runs
+and start methods.  Faults fire **only inside shard worker processes**
+(``multiprocessing.parent_process() is not None``), on every child a
+faulty shard gets: the supervisor's in-process fallback and the inline
+sharding path stay clean, which is precisely the recovery behavior under
+test — and it keeps an ``exit`` fault from killing the test runner
 itself.
 """
 
@@ -64,15 +65,12 @@ class Unpicklable:
 class FaultSpec:
     """How one shard misbehaves.
 
-    The fault fires on attempts ``0 .. times-1`` and the shard behaves
-    normally from attempt ``times`` on, so ``times`` directly selects the
-    recovery path: ``times <= max_retries`` recovers via retry,
-    anything larger pushes the shard to the in-process fallback.
-    ``seconds`` is the ``hang`` sleep; ``exit_code`` the ``exit`` status.
+    The fault fires in the shard's worker process; the in-process
+    fallback then completes the shard.  ``seconds`` is the ``hang``
+    sleep; ``exit_code`` the ``exit`` status.
     """
 
     kind: str
-    times: int = 1
     seconds: float = 30.0
     exit_code: int = 3
 
@@ -80,8 +78,6 @@ class FaultSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; "
                              f"expected one of {KINDS}")
-        if self.times < 1:
-            raise ValueError(f"times must be >= 1, got {self.times}")
 
 
 @dataclass(frozen=True)
@@ -90,9 +86,8 @@ class FaultPlan:
 
     ``shards`` maps shard index to its :class:`FaultSpec`; ``default``
     (the plan's ``"*"`` entry) applies to every shard without an explicit
-    spec.  Wrap the shard worker with :meth:`wrap` — the supervisor does
-    this automatically for ``SupervisorConfig(wrap=plan.wrap)`` or when
-    ``REPRO_FAULT_PLAN`` carries :meth:`to_env` output.
+    spec.  The supervisor wraps its worker in a :class:`FaultyWorker`
+    when ``REPRO_FAULT_PLAN`` carries :meth:`to_env` output.
     """
 
     shards: Tuple[Tuple[int, FaultSpec], ...] = ()
@@ -114,30 +109,23 @@ class FaultPlan:
     def has_faults(self) -> bool:
         return bool(self.shards) or self.default is not None
 
-    def wrap(self, worker: Callable) -> "FaultyWorker":
-        return FaultyWorker(worker, self)
-
     @staticmethod
-    def seeded(seed: int, shards: int, retries: int,
+    def seeded(seed: int, shards: int,
                kinds: Sequence[str] = ("raise", "bad-result"),
                rate: float = 0.6, hang_seconds: float = 8.0) -> "FaultPlan":
         """A reproducible random plan over ``shards`` shard indexes.
 
-        Each shard independently faults with probability ``rate``; fault
-        counts range over ``1 .. retries + 2`` so seeds exercise both
-        recovery paths (retry success and fallback).  The default
-        ``kinds`` excludes ``exit`` and ``hang`` — those take a timeout
-        each to detect, so the differential suite schedules them in
-        dedicated cases rather than letting a seed stack several.
+        Each shard independently faults with probability ``rate``.  The
+        default ``kinds`` excludes ``exit`` and ``hang`` — a hang takes
+        a timeout to detect, so the differential suite schedules those
+        in dedicated cases rather than letting a seed stack several.
         """
         rng = random.Random(seed)
         specs: Dict[int, FaultSpec] = {}
         for index in range(shards):
             if rng.random() < rate:
-                specs[index] = FaultSpec(
-                    kind=rng.choice(list(kinds)),
-                    times=rng.randint(1, retries + 2),
-                    seconds=hang_seconds)
+                specs[index] = FaultSpec(kind=rng.choice(list(kinds)),
+                                         seconds=hang_seconds)
         return FaultPlan.build(specs)
 
     # -- environment transport (for CLI-level differential tests) ---------
@@ -145,8 +133,8 @@ class FaultPlan:
     def to_env(self) -> str:
         """Serialize for ``REPRO_FAULT_PLAN``."""
         def encode(spec: FaultSpec) -> Dict:
-            return {"kind": spec.kind, "times": spec.times,
-                    "seconds": spec.seconds, "exit_code": spec.exit_code}
+            return {"kind": spec.kind, "seconds": spec.seconds,
+                    "exit_code": spec.exit_code}
         payload: Dict[str, Dict] = {
             str(shard): encode(spec) for shard, spec in self.shards}
         if self.default is not None:
@@ -165,7 +153,7 @@ class FaultPlan:
         default: Optional[FaultSpec] = None
         for key, entry in data.get("shards", {}).items():
             spec = FaultSpec(
-                kind=entry["kind"], times=int(entry.get("times", 1)),
+                kind=entry["kind"],
                 seconds=float(entry.get("seconds", 30.0)),
                 exit_code=int(entry.get("exit_code", 3)))
             if key == "*":
@@ -180,29 +168,25 @@ class FaultyWorker:
 
     Picklable whenever the wrapped worker is (the shard job is a
     module-level function), so it ships to shard worker processes under
-    ``fork`` and ``spawn`` alike.  The attempt number comes
-    from the supervisor, so "fail twice then succeed" needs no
-    cross-process shared state.
+    ``fork`` and ``spawn`` alike.
     """
 
     def __init__(self, worker: Callable, plan: FaultPlan):
         self._worker = worker
         self._plan = plan
 
-    def __call__(self, index: int, payload, attempt: int):
+    def __call__(self, index: int, payload):
         spec = self._plan.spec_for(index)
-        if (spec is not None and attempt < spec.times
-                and multiprocessing.parent_process() is not None):
+        if spec is not None and multiprocessing.parent_process() is not None:
             if spec.kind == "raise":
-                raise RuntimeError(
-                    f"injected fault: shard {index} attempt {attempt}")
+                raise RuntimeError(f"injected fault: shard {index}")
             if spec.kind == "exit":
                 os._exit(spec.exit_code)
             if spec.kind == "hang":
                 time.sleep(spec.seconds)
             elif spec.kind == "bad-result":
                 return Unpicklable()
-        return self._worker(index, payload, attempt)
+        return self._worker(index, payload)
 
 
 class FaultyAnalyzer(Analyzer):

@@ -71,9 +71,9 @@ def test_sharded_detector_matches_snapshot(name, workers):
 # survive inside them against the *same* disk snapshots.  Their names date
 # from the configuration knobs they used to exercise:
 #
-# * "seed path" and "dispatch" are the interpreted loop — the SCAN loop,
-#   whose reports may reorder within an event, so it is compared as a
-#   multiset; "compiled" is the ENUMERATE loop over a check plan.
+# * "dispatch" is the interpreted loop — the SCAN loop, whose reports may
+#   reorder within an event, so it is compared as a multiset; "compiled"
+#   is the ENUMERATE loop over a check plan.
 # * "plain clock" inflates every point clock to its bare vector clock after
 #   each event, which is exactly what a full-vector-clock detector stores.
 # * a "batch" is the W events between two point-clock rewrites: inflating
@@ -110,7 +110,7 @@ def loop_strategy(compiled):
 
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
-def test_seed_path_matches_snapshot(name):
+def test_scan_loop_matches_snapshot(name):
     trace, expected = load_case(name)
     detector = register(CommutativityRaceDetector(root=trace.root),
                         expected, Strategy.SCAN)

@@ -2,7 +2,7 @@
 
 The contract under test is the streaming pipeline's three-way split of
 "trace that ends badly": a *partial tail* (writer still flushing or
-killed mid-record) parks the reader at a resume offset, a *complete but
+killed mid-record) parks the reader at the torn record, a *complete but
 malformed* line raises (real corruption), and a finished trace reports
 ``done``.  On top of that, :class:`StreamAnalyzer` must report races
 byte-identically to the batch detector — streaming changes *when* work
@@ -18,7 +18,7 @@ from repro.core.detector import CommutativityRaceDetector
 from repro.core.errors import ReproError
 from repro.core.serialize import (TailReader, dump_trace, dumps_trace,
                                   follow_trace)
-from repro.core.stream import FollowStatus, StreamAnalyzer, follow_analyze
+from repro.core.stream import StreamAnalyzer, follow_analyze
 
 from tests.support import (build_multi_object_trace,
                            random_multi_object_program, race_snapshot,
@@ -77,53 +77,6 @@ class TestTailReader:
         assert len(first) + len(rest) == len(trace)
         assert reader.done
         assert not reader.truncated
-
-    def test_resume_offset_constructor(self, tmp_path):
-        trace, _ = sample_trace()
-        path = write_trace(tmp_path, trace)
-        first = TailReader(path, chunk_size=64)
-        first.poll()
-        assert first.done
-        # A fresh process resumes from the recorded position: nothing is
-        # re-read, and the header fields come from the caller.
-        resumed = TailReader(path, resume_offset=first.offset,
-                             root=first.root,
-                             declared_events=first.declared_events)
-        assert resumed.header_ready
-        assert resumed.poll() == []
-        assert resumed.offset == first.offset
-
-    def test_from_status_round_trips_resume_metadata(self, tmp_path):
-        trace, _ = sample_trace()
-        path = write_trace(tmp_path, trace)
-        first = TailReader(path, chunk_size=64)
-        first.poll()
-        status = FollowStatus(complete=first.done,
-                              events_read=first.events_read,
-                              declared_events=first.declared_events,
-                              resume_offset=first.offset,
-                              truncated_tail=first.truncated,
-                              root=first.root)
-        resumed = TailReader.from_status(path, status)
-        assert resumed.header_ready
-        assert resumed.root == trace.root
-        assert resumed.declared_events == len(trace)
-        assert resumed.poll() == []
-        assert resumed.done
-
-    def test_from_status_before_the_header_reads_from_scratch(self,
-                                                              tmp_path):
-        # A follow that died before the header appeared has offset 0 and
-        # no root: the resumed reader must parse the header itself.
-        status = FollowStatus(complete=False, events_read=0,
-                              declared_events=None, resume_offset=0,
-                              truncated_tail=False, root=None)
-        trace, _ = sample_trace()
-        path = write_trace(tmp_path, trace)
-        resumed = TailReader.from_status(path, status)
-        assert len(resumed.poll()) == len(trace)
-        assert resumed.done
-        assert resumed.root == trace.root
 
     def test_blank_lines_are_skipped(self, tmp_path):
         trace, _ = sample_trace()
@@ -262,51 +215,7 @@ class TestFollowAnalyze:
             poll_interval=0.001)
         assert status.complete
         assert status.events_read == len(trace)
-        assert not status.truncated_tail
         assert ([race_snapshot(r) for r in analyzer.races]
-                == [race_snapshot(r) for r in batch.races])
-
-    def test_killed_writer_resume_still_recognizes_completion(self,
-                                                              tmp_path):
-        # Regression: a writer killed mid-record leaves the follower
-        # timing out on a torn tail.  Resuming with only resume_offset
-        # used to lose declared_events, so the resumed reader could
-        # never report ``complete`` even after the trace finished.  The
-        # status now carries full resume metadata (root + declared
-        # count) and ``TailReader.from_status`` threads it through.
-        trace, bindings = sample_trace(seed=0)
-        text = dumps_trace(trace)
-        lines = text.splitlines(keepends=True)
-        half = len(lines) // 2
-        path = tmp_path / "killed.jsonl"
-        path.write_text("".join(lines[:half]) + lines[half][:5],
-                        encoding="utf-8")
-
-        analyzer, status = follow_analyze(
-            str(path),
-            lambda root: register_bindings(
-                StreamAnalyzer(root=root, window=3), bindings),
-            poll_interval=0.001, idle_timeout=0.01)
-        assert not status.complete
-        assert status.truncated_tail
-        assert status.declared_events == len(trace)
-        assert status.root == trace.root
-        assert status.events_read == half - 1
-
-        # A restarted writer finishes the file; a fresh process resumes
-        # the same analysis from the recorded metadata alone.
-        path.write_text(text, encoding="utf-8")
-        resumed_reader = TailReader.from_status(str(path), status)
-        analyzer2, status2 = follow_analyze(
-            str(path), lambda root: analyzer,
-            poll_interval=0.001, reader=resumed_reader)
-        assert analyzer2 is analyzer
-        assert status2.complete
-        assert not status2.truncated_tail
-        assert status2.events_read == len(trace)
-
-        batch = batch_races(trace, bindings)
-        assert ([race_snapshot(r) for r in analyzer2.races]
                 == [race_snapshot(r) for r in batch.races])
 
     def test_headerless_file_times_out_without_an_analyzer(self, tmp_path):

@@ -12,6 +12,8 @@ import os
 
 import pytest
 
+from repro.testing.faults import PLAN_ENV
+
 START_METHOD = os.environ.get("REPRO_TEST_START_METHOD") or None
 
 # Used only in tests whose faulty worker is *guaranteed* stuck (sleeping
@@ -26,3 +28,13 @@ HANG_SECONDS = 60.0
 @pytest.fixture
 def start_method():
     return START_METHOD
+
+
+@pytest.fixture
+def inject(monkeypatch):
+    """Install a fault plan the one way it reaches the supervisor: the
+    ``REPRO_FAULT_PLAN`` environment variable, read when a
+    :class:`~repro.core.supervise.ShardSupervisor` is built."""
+    def install(plan):
+        monkeypatch.setenv(PLAN_ENV, plan.to_env())
+    return install

@@ -8,11 +8,13 @@ with the fault visible in the fault log (and, through the CLI, in the
 
 Seeds are chosen from the shared randomized-program corpus for verdict
 variety (the list includes race-dense and race-free traces and 2-6 object
-programs); the seeded fault plans stack worker exceptions and unpicklable
-results across shards and attempts.  A hang costs a timeout window to
+programs); the seeded fault plans spread worker exceptions and
+unpicklable results across shards.  A hang costs a timeout window to
 detect, so hang and kill faults get dedicated single-fault cases rather
 than riding the seed sweep.  A killed worker closes its result pipe
-unanswered, so it is caught at once, as ``worker-raised``.
+unanswered, so it is caught at once, as ``worker-raised``.  Every failed
+shard is replayed in-process at once: its fault log holds exactly one
+``<kind>`` record and one ``fallback`` record.
 """
 
 import json
@@ -24,7 +26,6 @@ import pytest
 
 from repro.core.detector import CommutativityRaceDetector
 from repro.core.parallel import ShardedDetector
-from repro.core.supervise import SupervisorConfig
 from repro.obs.registry import Registry
 from repro.testing.faults import PLAN_ENV, FaultPlan, FaultSpec
 
@@ -48,12 +49,15 @@ def corpus_case(seed):
     return trace, bindings, sequential
 
 
-def supervised_run(trace, bindings, plan, retries=1, timeout=60.0):
+# The fault-log kind each injected fault surfaces as.
+RECORDED_AS = {"raise": "worker-raised", "exit": "worker-raised",
+               "hang": "timeout", "bad-result": "result-unpicklable"}
+
+
+def supervised_run(trace, bindings, timeout=60.0):
     obs = Registry(sample_interval=1)
-    config = SupervisorConfig(shard_timeout=timeout, max_retries=retries,
-                              backoff_base=0.0, wrap=plan.wrap)
     detector = ShardedDetector(workers=2, mp_context=START_METHOD,
-                               supervisor=config, obs=obs)
+                               shard_timeout=timeout, obs=obs)
     register_bindings(detector, bindings)
     detector.run(trace)
     return detector, obs
@@ -65,48 +69,53 @@ def assert_identical(detector, sequential):
     assert detector.stats == sequential.stats
 
 
+def assert_one_fallback_each(detector, failed):
+    """Each failed shard has one ``<kind>`` and one ``fallback`` record:
+    ``failed`` maps shard index to the injected fault kind."""
+    records = sorted((fault.shard, fault.kind) for fault in detector.faults)
+    assert records == sorted(
+        [(shard, RECORDED_AS[kind]) for shard, kind in failed.items()]
+        + [(shard, "fallback") for shard in failed])
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-def test_seeded_fault_plans_preserve_output(seed):
+def test_seeded_fault_plans_preserve_output(seed, inject):
     trace, bindings, sequential = corpus_case(seed)
-    plan = FaultPlan.seeded(seed, shards=2, retries=1)
-    detector, obs = supervised_run(trace, bindings, plan, retries=1)
+    plan = FaultPlan.seeded(seed, shards=2)
+    inject(plan)
+    detector, obs = supervised_run(trace, bindings)
     assert_identical(detector, sequential)
     if plan.has_faults() and len(bindings) > 1:
-        # >=2 objects means >=2 shards, so at least one planned fault
-        # actually fired — and must therefore be on the record.
-        assert detector.faults
+        # >=2 objects means 2 shards, so every planned fault fired — and
+        # must therefore be on the record, once.
+        assert_one_fallback_each(
+            detector, {shard: spec.kind for shard, spec in plan.shards})
         assert obs.snapshot()["counters"]["shard_faults"] == \
             len(detector.faults)
 
 
-def test_hang_past_timeout_preserves_output():
+def test_hang_past_timeout_preserves_output(inject):
     trace, bindings, sequential = corpus_case(0)
-    plan = FaultPlan.build({0: FaultSpec("hang", times=99,
-                                         seconds=HANG_SECONDS)})
-    detector, _ = supervised_run(trace, bindings, plan, retries=0,
-                                 timeout=FAST_TIMEOUT)
+    inject(FaultPlan.build({0: FaultSpec("hang", seconds=HANG_SECONDS)}))
+    detector, _ = supervised_run(trace, bindings, timeout=FAST_TIMEOUT)
     assert_identical(detector, sequential)
-    assert detector.faults.count(kind="timeout") == 1
-    assert detector.faults.count(kind="fallback") == 1
+    assert_one_fallback_each(detector, {0: "hang"})
 
 
-def test_killed_worker_preserves_output():
+def test_killed_worker_preserves_output(inject):
     trace, bindings, sequential = corpus_case(16)
-    plan = FaultPlan.build({1: FaultSpec("exit", times=1)})
-    detector, _ = supervised_run(trace, bindings, plan, retries=1,
-                                 timeout=FAST_TIMEOUT)
+    inject(FaultPlan.build({1: FaultSpec("exit")}))
+    detector, _ = supervised_run(trace, bindings, timeout=FAST_TIMEOUT)
     assert_identical(detector, sequential)
-    assert detector.faults.count(kind="worker-raised") == 1
-    assert len(detector.faults) == 1
+    assert_one_fallback_each(detector, {1: "exit"})
 
 
-def test_unpicklable_results_on_every_shard_preserve_output():
+def test_unpicklable_results_on_every_shard_preserve_output(inject):
     trace, bindings, sequential = corpus_case(18)
-    plan = FaultPlan(default=FaultSpec("bad-result", times=99))
-    detector, _ = supervised_run(trace, bindings, plan)
+    inject(FaultPlan(default=FaultSpec("bad-result")))
+    detector, _ = supervised_run(trace, bindings)
     assert_identical(detector, sequential)
-    assert detector.faults.count(kind="result-unpicklable") >= 1
-    assert detector.faults.count(kind="fallback") >= 1
+    assert_one_fallback_each(detector, {0: "bad-result", 1: "bad-result"})
 
 
 def run_cli(*argv, env_extra=None):
@@ -129,10 +138,10 @@ def test_cli_fault_plan_differential_with_stats_json(tmp_path):
     """End to end through the real CLI: inject via REPRO_FAULT_PLAN,
     assert identical stdout and faults visible in --stats-json."""
     stats = tmp_path / "stats.json"
-    plan = FaultPlan(default=FaultSpec("raise", times=1))
+    plan = FaultPlan(default=FaultSpec("raise"))
     clean = run_cli(TRACE, *OBJECTS)
     faulty = run_cli(TRACE, *OBJECTS, "--workers", "2",
-                     "--shard-retries", "1", "--stats-json", str(stats),
+                     "--stats-json", str(stats),
                      env_extra={PLAN_ENV: plan.to_env()})
     assert clean.returncode == faulty.returncode == 1  # races reported
     assert (faulty.stdout.replace("rd2 [2 workers]:", "rd2:")
@@ -140,7 +149,7 @@ def test_cli_fault_plan_differential_with_stats_json(tmp_path):
     assert "tolerated" in faulty.stderr
     report = json.loads(stats.read_text())
     counts = report["faults"]["counts"]
-    assert counts.get("shard/worker-raised", 0) >= 1
+    assert counts == {"shard/worker-raised": 2, "shard/fallback": 2}
     assert report["stats"]["counters"]["shard_faults"] == sum(
         counts.values())
 

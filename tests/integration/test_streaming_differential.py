@@ -177,9 +177,9 @@ class TestFollowLiveWriter:
         assert snapshots(analyzer) == snapshots(batch)
 
     def test_killed_writer_does_not_wedge_the_reader(self, tmp_path):
-        """A writer dead mid-record: the follow ends at the idle budget
-        with a resume offset, and resuming after the writer's restart
-        yields the full batch verdict."""
+        """A writer dead mid-record: the follow ends at the idle budget,
+        and following again once the writer has finished yields the full
+        batch verdict."""
         trace, bindings = build_multi_object_trace(
             random_multi_object_program(0))
         text = dumps_trace(trace)
@@ -195,22 +195,18 @@ class TestFollowLiveWriter:
             poll_interval=0.001, idle_timeout=0.05, reader=reader)
         assert time.monotonic() - start < 2.0  # returned, not wedged
         assert not status.complete
-        assert status.truncated_tail
+        assert reader.truncated
         assert 0 < status.events_read < len(trace)
-        assert 0 < status.resume_offset < len(text.encode())
 
-        # The writer comes back and finishes the file; a fresh reader
-        # resumes from the recorded offset without replaying the prefix.
+        # The writer comes back and finishes the file; the trace is
+        # simply followed again, from the start.
         with open(path, "w", encoding="utf-8") as out:
             out.write(text)
-        resumed = TailReader(path, resume_offset=status.resume_offset,
-                             root=reader.root,
-                             declared_events=reader.declared_events,
-                             events_read=status.events_read)
-        for event in resumed.poll():
-            analyzer.process(event)
-        assert resumed.done
-        analyzer.finish()
+        analyzer, status = follow_analyze(
+            path, self.build_analyzer(bindings),
+            poll_interval=0.001, idle_timeout=5.0)
+        assert status.complete
+        assert status.events_read == len(trace)
         batch = batch_run(trace, bindings)
         assert snapshots(analyzer) == snapshots(batch)
 
@@ -253,7 +249,6 @@ class TestFollowCli:
         result = run_cli(path, *OBJECTS, "--follow",
                          "--follow-timeout", "0.2")
         assert "trace incomplete" in result.stderr
-        assert "resume offset" in result.stderr
 
     def test_idle_timeout_inside_window_still_flushes_stats_json(
             self, tmp_path):

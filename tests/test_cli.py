@@ -1,6 +1,9 @@
 """The repro-analyze command line and the spec reporter."""
 
 import json
+import os
+import stat
+import threading
 
 import pytest
 
@@ -405,6 +408,38 @@ class TestObservabilityFlags:
         for phase in ("stamp", "fanout", "merge", "shard"):
             assert phase in timers
         assert report["stats"]["gauges"]["shards"] >= 1
+
+    def test_stats_json_into_a_fifo(self, racy_trace_file, tmp_path,
+                                    capsys):
+        # A special file is written in place: a report renamed over a
+        # FIFO would replace it with a regular file its reader never sees.
+        fifo = tmp_path / "stats.fifo"
+        os.mkfifo(fifo)
+        spare = tmp_path / "spare.fifo"
+        os.link(fifo, spare)    # a second name to release a waiting reader
+        received = []
+
+        def drain():
+            with open(spare, "rb") as stream:   # waits for a writer
+                received.append(stream.read())
+
+        reader = threading.Thread(target=drain)
+        reader.start()
+        try:
+            code = main([racy_trace_file, "--object", "o=dictionary",
+                         "--stats-json", str(fifo)])
+        finally:
+            reader.join(timeout=5)
+            if reader.is_alive():
+                # Nothing opened the FIFO for writing: let the reader go.
+                os.close(os.open(spare, os.O_WRONLY | os.O_NONBLOCK))
+                reader.join(timeout=5)
+        capsys.readouterr()
+        assert code == 1
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert json.loads(received[0])["repro-stats"] == 1
+        assert not (tmp_path / "stats.fifo.tmp").exists()
 
     def test_spans_stream_is_jsonl(self, racy_trace_file, tmp_path, capsys):
         spans_path = tmp_path / "spans.jsonl"
