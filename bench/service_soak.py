@@ -6,8 +6,9 @@ drives ``--tenants`` concurrent tenants against it for ``--duration``
 wall-clock seconds.  Each tenant loops over its own seeded workload:
 stream the trace to completion, verify the served ``RACES`` report is
 byte-identical to an offline single-tenant analysis, and go again —
-with a seeded mid-stream disconnect every few iterations so checkpoint
-fast-forward resume stays on the hot path, not just in the chaos tests.
+with a seeded mid-stream disconnect every few iterations, after which
+the tenant reconnects and re-sends its trace from event zero, so the
+reconnect path stays on the hot path, not just in the chaos tests.
 
 Three gates, each failing the run with exit 1:
 
@@ -72,7 +73,6 @@ class TenantLoop:
         self.cut_every = cut_every
         self.iterations = 0
         self.events = 0
-        self.resumes = 0
         self.failure = None
 
     def run(self, client: ServiceClient, control: ControlClient,
@@ -90,7 +90,6 @@ class TenantLoop:
                 if final.status != "done":
                     self.failure = f"stream ended {final.final!r}"
                     return
-                self.resumes += sum(a.resumed > 0 for a in attempts)
                 observed = control.races(self.name)
                 if observed == ["(no races)"]:
                     observed = []
@@ -113,8 +112,6 @@ def run_soak(args) -> int:
         control_path=os.path.join(base, "control.sock"),
         session=SessionConfig(
             window=64,
-            checkpoint_dir=os.path.join(base, "checkpoints"),
-            checkpoint_interval=64,
             budget=BudgetConfig(max_points=args.budget_points,
                                 suspend_after=1_000_000)),
         queue_size=args.queue_size)
@@ -165,10 +162,9 @@ def run_soak(args) -> int:
 
     iterations = sum(loop.iterations for loop in loops)
     events = sum(loop.events for loop in loops)
-    resumes = sum(loop.resumes for loop in loops)
     print(f"soak: {args.tenants} tenants x {elapsed:.1f}s -> "
           f"{iterations} iterations, {events} events "
-          f"({events / max(elapsed, 1e-9):,.0f} ev/s), {resumes} resumes")
+          f"({events / max(elapsed, 1e-9):,.0f} ev/s)")
     print(f"  queue hwm: {max(hwms.values(), default=0)} "
           f"(bound {args.queue_size}); peak RSS {peak_rss_mb:.1f} MiB "
           f"(ceiling {args.rss_mb} MiB)")
@@ -182,7 +178,6 @@ def run_soak(args) -> int:
                 "iterations": iterations,
                 "events": events,
                 "events_per_s": round(events / max(elapsed, 1e-9), 1),
-                "resumes": resumes,
                 "peak_rss_mb": round(peak_rss_mb, 1),
                 "rss_ceiling_mb": args.rss_mb,
                 "queue_bound": args.queue_size,

@@ -38,6 +38,7 @@ interrupted.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -596,8 +597,9 @@ def _parse_shard_timeout(args) -> Optional[float]:
     except ValueError:
         _fail(f"--shard-timeout expects a number of seconds, got "
               f"{args.shard_timeout!r}", EXIT_USAGE)
-    if timeout <= 0:
-        _fail(f"--shard-timeout must be > 0, got {timeout:g}", EXIT_USAGE)
+    if not math.isfinite(timeout) or timeout <= 0:
+        _fail(f"--shard-timeout must be a finite number > 0, got "
+              f"{timeout:g}", EXIT_USAGE)
     return timeout
 
 

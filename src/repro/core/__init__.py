@@ -6,9 +6,8 @@ from .access_points import (AccessPoint, AccessPointRepresentation,
                             representations_equivalent)
 from .detector import CommutativityRaceDetector, DetectorStats, Strategy
 from .direct import DirectDetector
-from .errors import (CheckpointError, FragmentError, MonitorError,
-                     ParseError, ReproError, SchedulerError,
-                     SpecificationError, TranslationError)
+from .errors import (FragmentError, MonitorError, ParseError, ReproError,
+                     SchedulerError, SpecificationError, TranslationError)
 from .faults import FaultLog, FaultRecord
 from .events import (NIL, Action, Event, EventKind, Nil, ObjectId,
                      acquire_event, action_event, begin_event, commit_event,
@@ -31,8 +30,8 @@ __all__ = [
     "SchemaRepresentation", "representations_equivalent",
     "CommutativityRaceDetector", "DetectorStats", "Strategy",
     "DirectDetector",
-    "CheckpointError", "FragmentError", "MonitorError", "ParseError",
-    "ReproError", "SchedulerError", "SpecificationError", "TranslationError",
+    "FragmentError", "MonitorError", "ParseError", "ReproError",
+    "SchedulerError", "SpecificationError", "TranslationError",
     "FaultLog", "FaultRecord",
     "ShardSupervisor",
     "NIL", "Nil", "Action", "Event", "EventKind", "ObjectId",

@@ -15,7 +15,6 @@ __all__ = [
     "TranslationError",
     "MonitorError",
     "SchedulerError",
-    "CheckpointError",
     "FrameTooLargeError",
 ]
 
@@ -87,17 +86,4 @@ class FrameTooLargeError(ReproError):
     and the reader parks at a resume offset, while a record that can never
     fit is poison — without this error the reader would retry the same
     offset forever.
-    """
-
-
-class CheckpointError(ReproError):
-    """A ``repro-serve`` tenant checkpoint could not be used.
-
-    Examples: the file is truncated or fails its digest, it was written by
-    an unsupported format version, or the re-streamed trace prefix does
-    not match the one the checkpoint was cut from.  The daemon treats this
-    as a recoverable fault — it drops the checkpoint and analyzes the
-    tenant afresh — so the error only escapes to callers that load
-    checkpoints directly via
-    :func:`repro.service.checkpoints.load_tenant_checkpoint`.
     """

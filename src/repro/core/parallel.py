@@ -51,6 +51,7 @@ zero costs less than loading and verifying a snapshot would.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import pickle
 from time import perf_counter_ns
@@ -257,9 +258,9 @@ class ShardedDetector:
         ``DetectorStats.absorb`` merge.
     shard_timeout:
         Seconds the :class:`~repro.core.supervise.ShardSupervisor` that
-        runs phase B gives the shard workers to answer; a silent worker
-        is hung, and its shard is replayed in-process like any other
-        failed one.
+        runs phase B gives the shard workers to answer (finite, > 0); a
+        silent worker is hung, and its shard is replayed in-process like
+        any other failed one.
     prune_interval:
         As for the sequential detector: every N actions, reclaim active
         points (and their interned entries) that are ordered before every
@@ -295,8 +296,9 @@ class ShardedDetector:
         if predict_window < 0:
             raise MonitorError(
                 f"predict_window must be >= 0, got {predict_window}")
-        if shard_timeout <= 0:
-            raise ValueError(f"shard_timeout must be > 0, got {shard_timeout}")
+        if not math.isfinite(shard_timeout) or shard_timeout <= 0:
+            raise ValueError(f"shard_timeout must be finite and > 0, "
+                             f"got {shard_timeout}")
         self._root = root
         self._prune_interval = prune_interval
         self._prune_snaps: List[Tuple[int, List[Any]]] = []

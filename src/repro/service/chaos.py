@@ -5,7 +5,8 @@ drives many concurrent tenants through the failure modes the service
 exists to survive:
 
 * **kill/restart** — tenants disconnect mid-stream at seeded byte
-  offsets and reconnect, exercising checkpoint fast-forward resume;
+  offsets and reconnect, re-sending the trace from event zero for a
+  fresh analysis;
 * **torn frames** — the cut offsets land mid-record, so the server sees
   half-written JSONL lines flushed by dying clients;
 * **budget squeeze** — a deliberately small per-tenant point budget
@@ -87,7 +88,6 @@ class TenantOutcome:
     observed_lines: List[str]
     expected_lines: List[str]
     queue_hwm: int
-    resumes: int
 
     @property
     def matched(self) -> bool:
@@ -119,14 +119,13 @@ class ChaosReport:
 
     def summary(self) -> str:
         races = sum(len(o.expected_lines) for o in self.outcomes)
-        resumes = sum(o.resumes for o in self.outcomes)
         cuts = sum(len(o.cuts) for o in self.outcomes)
         hwm = max((o.queue_hwm for o in self.outcomes), default=0)
         lines = [
             f"chaos seed={self.plan.seed} tenants={self.plan.tenants}: "
             f"{'OK' if self.ok else 'FAILED'}",
             f"  race groups (offline ground truth): {races}",
-            f"  mid-stream cuts: {cuts}, checkpoint resumes: {resumes}",
+            f"  mid-stream cuts: {cuts}",
             f"  queue hwm: {hwm} (bound {self.queue_size})",
             f"  forced budget windows: "
             f"{self.stats.get('counters', {}).get('budget_forced_windows', 0)}",
@@ -169,8 +168,6 @@ def run_chaos(plan: ChaosPlan, base_dir: Optional[str] = None,
         control_path=os.path.join(base, "control.sock"),
         session=SessionConfig(
             window=32,
-            checkpoint_dir=os.path.join(base, "checkpoints"),
-            checkpoint_interval=64,
             budget=BudgetConfig(max_points=budget_points,
                                 suspend_after=1_000_000)),
         queue_size=queue_size,
@@ -210,7 +207,7 @@ def run_chaos(plan: ChaosPlan, base_dir: Optional[str] = None,
                 tenant=tenant, workload_seed=wseed, cuts=cuts,
                 attempts=attempts, observed_lines=observed,
                 expected_lines=offline_race_lines(trace, bindings),
-                queue_hwm=0, resumes=sum(a.resumed > 0 for a in attempts))
+                queue_hwm=0)
 
         threads = [threading.Thread(target=drive, args=(i,), daemon=True)
                    for i in range(len(schedules))]

@@ -5,8 +5,13 @@ Daemon mode binds the ingest and control sockets and serves until a
 ``SHUTDOWN`` control command (or SIGINT) drains it::
 
     repro-serve --socket /run/repro/ingest.sock \\
-                --control /run/repro/control.sock \\
-                --checkpoint-dir /var/lib/repro/checkpoints
+                --control /run/repro/control.sock
+
+A tenant that disconnects reconnects and re-sends its trace from event
+zero; the daemon analyzes it again from the start.  Values the daemon
+cannot serve (``--window 0``, a negative ``--prune-interval``) are
+refused with one ``repro-serve:`` line and exit 2 before any socket is
+bound.
 
 Chaos mode hosts a throwaway daemon and drives the seeded abuse
 schedule from :mod:`repro.service.chaos`, exiting non-zero unless every
@@ -39,11 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="unix socket for tenant trace streams")
     parser.add_argument("--control", metavar="PATH",
                         help="unix socket for STATUS/STATS/RACES/SHUTDOWN")
-    parser.add_argument("--checkpoint-dir", metavar="DIR", default=None,
-                        help="enable crash-resume checkpoints in DIR")
-    parser.add_argument("--checkpoint-interval", type=int, default=4096,
-                        metavar="N", help="events between checkpoints "
-                        "(default %(default)s)")
     parser.add_argument("--queue-size", type=int, default=64, metavar="N",
                         help="per-tenant ingest queue bound "
                         "(default %(default)s)")
@@ -96,8 +96,6 @@ def _serve(args) -> int:
         session=SessionConfig(
             prune_interval=args.prune_interval,
             window=args.window,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_interval=args.checkpoint_interval,
             budget=BudgetConfig(max_points=args.max_points,
                                 suspend_after=args.suspend_after)),
         queue_size=args.queue_size,

@@ -40,8 +40,8 @@ _DEFAULT_TIMEOUT = 30.0
 class StreamResult:
     """How one ingest connection ended."""
 
-    #: The server's handshake ack line ("OK NEW" / "OK RESUME n"), or the
-    #: ERR line when the handshake itself was refused.
+    #: The server's handshake ack line ("OK NEW"), or the ERR line when
+    #: the handshake itself was refused.
     ack: str
     #: "done" | "refused" | "error" | "disconnected"
     status: str
@@ -49,13 +49,6 @@ class StreamResult:
     final: str
     #: Race-report count from a DONE line, else None.
     races: Optional[int] = None
-
-    @property
-    def resumed(self) -> int:
-        """Events the server fast-forwarded (0 for a fresh analysis)."""
-        if self.ack.startswith("OK RESUME "):
-            return int(self.ack.rsplit(" ", 1)[1])
-        return 0
 
 
 class ServiceClient:
@@ -121,11 +114,12 @@ class ServiceClient:
         """The dumb-client loop: reconnect until DONE or refusal sticks.
 
         Retries transparently on the transient endings a real client
-        would retry — a disconnect, a rejected (stale) checkpoint, and
-        ``ERR busy`` while the server is still winding down this
-        tenant's previous (killed) connection.  Returns every attempt's
-        result; the last one is terminal (DONE, a durable refusal such
-        as quarantine/budget, or the attempt budget ran out)."""
+        would retry — a disconnect, and ``ERR busy`` while the server is
+        still winding down this tenant's previous (killed) connection.
+        Every attempt re-sends the whole trace and is analyzed from
+        event zero.  Returns every attempt's result; the last one is
+        terminal (DONE, a durable refusal such as quarantine/budget, or
+        the attempt budget ran out)."""
         results: List[StreamResult] = []
         delay = 0.05
         for _ in range(attempts):
@@ -134,8 +128,7 @@ class ServiceClient:
             if result.status == "done":
                 break
             retryable = (result.status == "disconnected"
-                         or result.final.startswith("ERR busy")
-                         or result.final.startswith("ERR checkpoint-rejected"))
+                         or result.final.startswith("ERR busy"))
             if not retryable:
                 break
             # Wait twice as long each time, up to 1 s: a busy server is

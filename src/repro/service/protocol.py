@@ -8,26 +8,22 @@ prepending one line.
 Ingest socket (one connection per tenant at a time)::
 
     C: {"repro-serve": 1, "tenant": "web-42", "objects": {"o": "dictionary"}}
-    S: OK NEW                      (or: OK RESUME 1200 / ERR <reason>)
+    S: OK NEW                      (or: ERR <reason>)
     C: {"repro-trace": 1, "root": 0, "events": 5000}
     C: <event JSONL> ...           (the PR 1 trace wire format, verbatim)
     S: DONE 3                      (declared count reached; 3 race reports)
 
-On ``OK RESUME n`` the client still re-streams its trace from event
-zero: the server *fast-forwards* through the first ``n`` events without
-re-analyzing them, recomputing the trace-prefix fingerprint digest as it
-goes; at the boundary the digest must match the checkpoint's, otherwise
-the server answers ``ERR checkpoint-rejected`` and drops the stale
-checkpoint — the client's next connect gets ``OK NEW`` and a fresh
-analysis.  Dumb clients therefore need exactly one behavior: connect,
-stream everything, reconnect on error or disconnect.
+Every accepted connection starts a fresh analysis, so a client that
+reconnects re-sends its trace from event zero.  Clients therefore need
+exactly one behavior: connect, stream everything, reconnect on error or
+disconnect.
 
 Control socket (line commands, response terminated by a lone ``.``)::
 
     STATUS             one line per tenant: state, events, races, queue hwm
     STATS              the fleet-merged obs report as one JSON line
     RACES <tenant>     the tenant's grouped race report, one group per line
-    SHUTDOWN           drain every tenant queue, checkpoint, stop serving
+    SHUTDOWN           drain every tenant queue, stop serving
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ from ..core.errors import ReproError
 
 __all__ = ["PROTOCOL_KEY", "PROTOCOL_VERSION", "MAX_TENANT_NAME",
            "ProtocolError", "Hello", "encode_hello", "parse_hello",
-           "ok_new", "ok_resume", "err_line", "done_line",
+           "ok_new", "err_line", "done_line",
            "END_OF_RESPONSE"]
 
 PROTOCOL_KEY = "repro-serve"
@@ -111,10 +107,6 @@ def parse_hello(line: str, known_kinds) -> Hello:
 
 def ok_new() -> str:
     return "OK NEW"
-
-
-def ok_resume(events: int) -> str:
-    return f"OK RESUME {events}"
 
 
 def err_line(reason: str) -> str:

@@ -28,11 +28,11 @@ Robustness properties, each load-bearing for "millions of users":
   budget through forced maintenance windows degrades to
   *budget-exceeded, detection suspended* — races found so far keep
   being served, new events are refused.
-* **Crash-resume.**  Sessions cut atomic per-tenant checkpoints on a
-  cadence and on disconnect; a reconnecting tenant re-streams from event
-  zero and the server fast-forwards through the checkpointed prefix,
-  validating its fingerprint digest before trusting a byte
-  (:mod:`repro.service.checkpoints`).
+* **Reconnect.**  A stream that ends early (disconnect, torn frame,
+  drain) keeps its races served until the tenant reconnects.  The
+  client then re-sends its trace from event zero, and a fresh session
+  analyzes all of it: an analyzer's state after n events depends only
+  on those n events, so nothing from the dropped stream is needed.
 * **Frame caps.**  Socket reads inherit the
   :data:`~repro.core.serialize.MAX_RECORD_BYTES` cap through the asyncio
   stream limit — an unterminated megabyte "line" is an error, not an
@@ -47,14 +47,14 @@ import os
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Dict, List, Optional
 
-from ..core.errors import CheckpointError, ReproError
+from ..core.errors import ReproError
 from ..core.faults import FaultLog
 from ..core.serialize import MAX_RECORD_BYTES, _decode_event, _decode_header
 from ..core.supervise import ANALYZER_POLICIES, QuarantinePolicy
 from ..obs import Registry
 from ..specs import bundled_objects
 from .protocol import (END_OF_RESPONSE, ProtocolError, done_line, err_line,
-                       ok_new, ok_resume, parse_hello)
+                       ok_new, parse_hello)
 from .session import SUSPENDED, SessionConfig, TenantSession
 
 __all__ = ["ServiceConfig", "DetectionServer"]
@@ -193,8 +193,8 @@ class DetectionServer:
 
     async def drain_and_stop(self) -> None:
         """The ``SHUTDOWN`` path: refuse new streams, let every active
-        connection wind down (workers drain their queues, sessions
-        checkpoint), then stop serving."""
+        connection wind down (workers drain their queues), then stop
+        serving."""
         if self._draining:
             return
         self._draining = True
@@ -293,17 +293,7 @@ class DetectionServer:
             tenant.connected = False
 
     async def _stream(self, tenant: _Tenant, hello, reader, writer) -> None:
-        session = TenantSession(tenant.name, hello.objects,
-                                self.config.session, obs=tenant.obs)
-        try:
-            resumed = session.prepare_resume()
-        except CheckpointError:
-            # A corrupt/torn checkpoint file degrades to a fresh
-            # analysis — never a wrong one, never a dead tenant.
-            tenant.obs.add("tenant_checkpoints_rejected")
-            session.reject_checkpoint()
-            resumed = 0
-        await self._send(writer, ok_resume(resumed) if resumed else ok_new())
+        await self._send(writer, ok_new())
 
         status = {"failed": None}
 
@@ -326,12 +316,8 @@ class DetectionServer:
             await self._tenant_fault(tenant, writer, ProtocolError(
                 f"bad trace header: {exc}"))
             return
-        try:
-            session.start(root, declared)
-        except CheckpointError as exc:
-            tenant.obs.add("tenant_checkpoints_rejected")
-            await self._send(writer, err_line(f"checkpoint-rejected {exc}"))
-            return
+        session = TenantSession(tenant.name, hello.objects, root,
+                                self.config.session, obs=tenant.obs)
         tenant.session = session
 
         queue: asyncio.Queue = asyncio.Queue(maxsize=self.config.queue_size)
@@ -399,9 +385,6 @@ class DetectionServer:
                     return outcome
                 try:
                     session.finish()
-                except CheckpointError as exc:
-                    status["failed"] = exc
-                    return "checkpoint-rejected"
                 except Exception as exc:
                     status["failed"] = exc
                     return "fault"
@@ -412,10 +395,6 @@ class DetectionServer:
                 if throttle is not None:
                     await throttle(session.tenant, session.events_seen)
                 session.feed(item)
-            except CheckpointError as exc:
-                status["failed"] = exc
-                outcome = "checkpoint-rejected"
-                continue
             except Exception as exc:
                 status["failed"] = exc
                 outcome = "fault"
@@ -433,11 +412,6 @@ class DetectionServer:
             tenant.obs.add("streams_completed")
             await self._send(writer, done_line(len(session.races)))
             return
-        if outcome == "checkpoint-rejected":
-            tenant.obs.add("tenant_checkpoints_rejected")
-            await self._send(writer, err_line(
-                f"checkpoint-rejected {status['failed']}"))
-            return
         if outcome == "fault":
             await self._tenant_fault(tenant, writer, status["failed"])
             return
@@ -446,9 +420,9 @@ class DetectionServer:
             await self._send(writer, err_line("budget-exceeded detection "
                                               "suspended"))
             return
-        # Partial: drain, torn frame, or plain disconnect — park the
-        # state for a resume and (if draining) tell the client why.
-        session.save_checkpoint()
+        # Partial: drain, torn frame, or plain disconnect.  RACES keeps
+        # serving this session's races until the tenant reconnects; if
+        # draining, tell the client why.
         if self._draining:
             await self._send(writer, err_line("draining"))
 

@@ -2,17 +2,18 @@
 
 A :class:`TenantSession` owns everything tenant-scoped that the server's
 connection plumbing must not care about: the
-:class:`~repro.core.stream.StreamAnalyzer`, the running trace-prefix
-fingerprint digest, the memory budget, and the checkpoint cadence.  The
+:class:`~repro.core.stream.StreamAnalyzer` and the memory budget.  The
 server decodes events off the socket and calls :meth:`feed`; the session
-decides whether each event is analyzed (fresh or post-resume), merely
-fast-forwarded (re-streamed prefix of a resume), or refused (suspended).
+decides whether each event is analyzed or refused (suspended).
+
+A session lives for one connection.  A tenant that reconnects gets a
+fresh session and is analyzed again from event zero: the analyzer's
+state after n events is a function of the n-event prefix alone, so
+re-analyzing the re-sent trace rebuilds it exactly.
 
 States::
 
-    NEW --start()--> ANALYZING ----------------------> DONE
-            \\-> FAST_FORWARD -(digest ok)-> ANALYZING
-                    \\-(digest mismatch)-> CheckpointError, caller degrades
+    ANALYZING --finish()--> DONE
     ANALYZING -(budget strikes out)-> SUSPENDED
 
 Quarantine is *not* a session state — a raising session is a fault the
@@ -23,25 +24,18 @@ quarantined across reconnects; a session is per-analysis).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..core.errors import CheckpointError
 from ..core.events import Event
 from ..core.races import group_races
 from ..core.stream import StreamAnalyzer
 from ..specs import bundled_objects
 from .budget import BudgetConfig, TenantBudget
-from .checkpoints import (TENANT_CHECKPOINT_VERSION, TenantCheckpoint,
-                          discard_tenant_checkpoint, event_fingerprint,
-                          load_tenant_checkpoint, save_tenant_checkpoint)
 
 __all__ = ["SessionConfig", "TenantSession",
-           "NEW", "FAST_FORWARD", "ANALYZING", "SUSPENDED", "DONE"]
+           "ANALYZING", "SUSPENDED", "DONE"]
 
-NEW = "new"
-FAST_FORWARD = "fast-forward"
 ANALYZING = "analyzing"
 SUSPENDED = "suspended"
 DONE = "done"
@@ -53,185 +47,66 @@ class SessionConfig:
 
     ``prune_interval``/``window`` are the :class:`StreamAnalyzer`'s
     (pruning is verdict-preserving, so any setting reports equivalently
-    to offline analysis; the defaults report *byte*-identically).
-    ``checkpoint_dir=None`` disables crash-resume entirely.  The budget
-    is checked and checkpoints are cut at maintenance-window boundaries
-    — between events, where forced maintenance is report-preserving and
-    a pickled analyzer resumes byte-identically.
+    to offline analysis; the defaults report *byte*-identically;
+    ``prune_interval=0`` turns pruning off).  The budget is checked at
+    maintenance-window boundaries — between events, where forced
+    maintenance is report-preserving.
     """
 
     prune_interval: int = 256
     window: int = 1024
-    checkpoint_dir: Optional[str] = None
-    checkpoint_interval: int = 4096
     budget: BudgetConfig = field(default_factory=BudgetConfig)
 
     def __post_init__(self) -> None:
-        if self.checkpoint_interval < 1:
-            raise ValueError(f"checkpoint_interval must be >= 1, "
-                             f"got {self.checkpoint_interval}")
+        if self.window < 1:
+            raise ValueError(f"window must be >= 1, got {self.window}")
+        if self.prune_interval < 0:
+            raise ValueError(f"prune_interval must be >= 0, "
+                             f"got {self.prune_interval}")
 
 
 class TenantSession:
     """See the module docstring for the state machine."""
 
-    def __init__(self, tenant: str, bindings: Dict[str, str],
+    def __init__(self, tenant: str, bindings: Dict[str, str], root,
                  config: SessionConfig, obs=None):
         self.tenant = tenant
-        self.bindings = dict(bindings)
-        self._config = config
-        self._obs = obs if (obs is not None and obs.enabled) else None
-        self.state = NEW
-        self.root = None
-        self.declared_events: Optional[int] = None
+        self._window = config.window
+        self.state = ANALYZING
         self.events_seen = 0          # events accepted from this stream
-        self.analyzer: Optional[StreamAnalyzer] = None
         self.budget = TenantBudget(config.budget, tenant, obs=obs)
-        self._digest = hashlib.sha256()
-        self._checkpoint: Optional[TenantCheckpoint] = None
-        self._fast_forwarded = 0
-
-    # -- handshake ---------------------------------------------------------
-
-    def prepare_resume(self) -> int:
-        """Probe for a usable checkpoint; events to fast-forward (0 = fresh).
-
-        Called at HELLO time so the server can ack ``OK NEW`` vs
-        ``OK RESUME n``.  A checkpoint whose object bindings differ from
-        this handshake's is useless (the analyzer was built for other
-        objects) and is discarded rather than rejected — the client did
-        nothing wrong, it just gets a fresh analysis.
-        """
-        directory = self._config.checkpoint_dir
-        if directory is None:
-            return 0
-        checkpoint = load_tenant_checkpoint(directory, self.tenant)
-        if checkpoint is None:
-            return 0
-        if checkpoint.bindings != self.bindings \
-                or checkpoint.events_processed < 1:
-            discard_tenant_checkpoint(directory, self.tenant)
-            return 0
-        self._checkpoint = checkpoint
-        return checkpoint.events_processed
-
-    def start(self, root, declared_events: Optional[int]) -> None:
-        """Consume the trace header; enters ANALYZING or FAST_FORWARD."""
-        if self.state is not NEW:
-            raise CheckpointError(f"session for {self.tenant!r} already "
-                                  f"started (state {self.state})")
-        self.root = root
-        self.declared_events = declared_events
-        checkpoint = self._checkpoint
-        if checkpoint is not None and declared_events is None:
-            # Reconnect hello without a declared count (killed writer,
-            # headerless re-stream): adopt the checkpointed one so the
-            # resumed session can still recognize end-of-trace.
-            self.declared_events = checkpoint.declared_events
-        if checkpoint is not None and checkpoint.root != root:
-            self.reject_checkpoint()
-            raise CheckpointError(
-                f"checkpoint for {self.tenant!r} was cut at root thread "
-                f"{checkpoint.root!r}, stream header declares {root!r}")
-        if checkpoint is not None and declared_events is not None \
-                and declared_events < checkpoint.events_processed:
-            self.reject_checkpoint()
-            raise CheckpointError(
-                f"checkpoint for {self.tenant!r} covers "
-                f"{checkpoint.events_processed} events but the stream "
-                f"declares only {declared_events}")
-        if checkpoint is not None:
-            self.state = FAST_FORWARD
-            return
         registry = bundled_objects()
-        self.analyzer = StreamAnalyzer(
-            root=root,
-            prune_interval=self._config.prune_interval,
-            window=self._config.window)
-        for name, kind in self.bindings.items():
+        self.analyzer = StreamAnalyzer(root=root,
+                                       prune_interval=config.prune_interval,
+                                       window=config.window)
+        for name, kind in bindings.items():
             self.analyzer.register_object(name,
                                           registry[kind].representation())
-        self.state = ANALYZING
-
-    def reject_checkpoint(self) -> None:
-        """Drop the pending checkpoint (digest/shape mismatch)."""
-        self._checkpoint = None
-        if self._config.checkpoint_dir is not None:
-            discard_tenant_checkpoint(self._config.checkpoint_dir,
-                                      self.tenant)
-
-    # -- the stream --------------------------------------------------------
 
     def feed(self, event: Event) -> None:
-        """Consume one decoded event (or skip it while fast-forwarding).
+        """Consume one decoded event (ignored once suspended).
 
-        Raises :class:`CheckpointError` when a resume's re-streamed
-        prefix does not fingerprint to the checkpointed digest, and
-        whatever the analyzer raises on an inconsistent event — the
-        server turns either into per-tenant fault handling.
+        Raises whatever the analyzer raises on an inconsistent event —
+        the server turns that into per-tenant fault handling.
         """
         if self.state is SUSPENDED:
             return
-        if self.state is FAST_FORWARD:
-            self._digest.update(event_fingerprint(event))
-            self._fast_forwarded += 1
-            self.events_seen += 1
-            if self._fast_forwarded == self._checkpoint.events_processed:
-                self._adopt_checkpoint()
-            return
-        if self.state is not ANALYZING:
-            raise CheckpointError(
-                f"session for {self.tenant!r} cannot accept events in "
-                f"state {self.state}")
-        self._digest.update(event_fingerprint(event))
         self.analyzer.process(event)
         self.events_seen += 1
-        config = self._config
-        if self.events_seen % config.window == 0:
-            if self.budget.check(self.analyzer) == "suspend":
-                self.state = SUSPENDED
-                return
-            if config.checkpoint_dir is not None \
-                    and self.events_seen % config.checkpoint_interval == 0:
-                self.save_checkpoint()
-
-    def _adopt_checkpoint(self) -> None:
-        checkpoint = self._checkpoint
-        if self._digest.hexdigest() != checkpoint.prefix_digest:
-            self.reject_checkpoint()
-            raise CheckpointError(
-                f"re-streamed prefix of {self.tenant!r} does not match "
-                f"its checkpoint (trace changed since the checkpoint was "
-                f"cut); checkpoint dropped")
-        self.analyzer = checkpoint.analyzer
-        self._checkpoint = None
-        self.state = ANALYZING
-        if self._obs is not None:
-            self._obs.add("tenants_resumed")
+        if self.events_seen % self._window == 0 \
+                and self.budget.check(self.analyzer) == "suspend":
+            self.state = SUSPENDED
 
     def finish(self) -> List:
-        """Declared count reached: final maintenance, final checkpoint."""
-        if self.state is FAST_FORWARD:
-            # The stream ended exactly at the checkpoint boundary is
-            # impossible here (start() rejects shorter declarations and
-            # _adopt fires *at* the boundary), so reaching finish() while
-            # still fast-forwarding means the declaration lied.
-            self.reject_checkpoint()
-            raise CheckpointError(
-                f"stream for {self.tenant!r} ended before its "
-                f"checkpointed prefix was re-streamed")
+        """Declared count reached: final maintenance."""
         if self.state is ANALYZING:
             self.analyzer.finish()
             self.state = DONE
-            if self._config.checkpoint_dir is not None:
-                self.save_checkpoint()
         return self.races
-
-    # -- introspection & persistence ---------------------------------------
 
     @property
     def races(self) -> List:
-        return [] if self.analyzer is None else self.analyzer.races
+        return self.analyzer.races
 
     def race_lines(self) -> List[str]:
         """The grouped race report, one deterministic line per group.
@@ -240,23 +115,3 @@ class TenantSession:
         the chaos harness compares them byte-for-byte.
         """
         return [str(group) for group in group_races(self.races)]
-
-    def save_checkpoint(self) -> Optional[str]:
-        """Cut a checkpoint now (between events); path, or None if off."""
-        directory = self._config.checkpoint_dir
-        if directory is None or self.analyzer is None \
-                or self.events_seen < 1 or self.state is FAST_FORWARD:
-            return None
-        checkpoint = TenantCheckpoint(
-            version=TENANT_CHECKPOINT_VERSION,
-            tenant=self.tenant,
-            root=self.root,
-            events_processed=self.events_seen,
-            prefix_digest=self._digest.hexdigest(),
-            bindings=dict(self.bindings),
-            analyzer=self.analyzer,
-            declared_events=self.declared_events)
-        path = save_tenant_checkpoint(directory, checkpoint)
-        if self._obs is not None:
-            self._obs.add("tenant_checkpoints_written")
-        return path

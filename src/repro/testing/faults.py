@@ -13,8 +13,8 @@ provides those failure points:
   drives an in-process test and the real CLI in a subprocess.
 * :class:`FaultyAnalyzer` — an analyzer that raises on ``process``, for
   the monitor's isolation policies.
-* :func:`truncate_file` — cuts a file (a checkpoint, a trace) short the
-  way a crash mid-write or a bad disk would.
+* :func:`truncate_file` — cuts a trace file short the way a writer
+  killed mid-record or a bad disk would.
 
 Determinism rules: a fault fires based only on the shard index,
 supplied by the supervisor, so a plan replays identically across runs

@@ -120,7 +120,7 @@ def test_scan_loop_matches_snapshot(name):
 
 @LOOPS
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
-def test_sharded_compiled_axis_matches_snapshot(name, compiled):
+def test_sharded_strategy_axis_matches_snapshot(name, compiled):
     # The per-object strategy travels in the shard payload, next to the
     # plan compiled once in the facade.
     trace, expected = load_case(name)

@@ -54,6 +54,8 @@ class TestRobustnessFlagValidation:
         (["--shard-timeout", "0"], "--shard-timeout"),
         (["--shard-timeout", "-2"], "--shard-timeout"),
         (["--shard-timeout", "soon"], "--shard-timeout"),
+        (["--shard-timeout", "inf"], "--shard-timeout"),
+        (["--shard-timeout", "nan"], "--shard-timeout"),
     ])
     def test_bad_values_rejected(self, capsys, argv, needle):
         err = usage_error(capsys, [TRACE, *OBJECTS, *argv])

@@ -175,7 +175,7 @@ def test_interrupt_between_child_starts_leaves_no_orphans(monkeypatch,
 
 
 def test_config_validation():
-    for timeout in (0, -1.5):
+    for timeout in (0, -1.5, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="shard_timeout"):
             ShardedDetector(workers=2, shard_timeout=timeout)
 

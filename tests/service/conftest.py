@@ -3,8 +3,8 @@
 Every test that needs a live daemon builds it through ``make_server`` so
 sockets land in the test's tmp dir and the thread is always joined.  The
 CI matrix runs this suite under both ``fork`` and ``spawn``
-(``REPRO_TEST_START_METHOD``) because the kill -9 resume tests launch
-client processes via multiprocessing and crash-resume must not care how
+(``REPRO_TEST_START_METHOD``) because the kill -9 reconnect test launches
+client processes via multiprocessing and reconnecting must not care how
 those clients came to be.
 """
 

@@ -1,0 +1,31 @@
+"""``repro-serve`` refuses values it cannot serve before it binds."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import repro
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--window", "0"],
+    ["--prune-interval", "-1"],
+    ["--checkpoint-dir", "D"],
+    ["--checkpoint-interval", "5"],
+], ids=lambda argv: argv[0])
+def test_unservable_values_exit_2_before_binding(tmp_path, argv):
+    socket_path = tmp_path / "ingest.sock"
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro.service.cli",
+         "--socket", str(socket_path),
+         "--control", str(tmp_path / "control.sock"), *argv],
+        env={**os.environ, "PYTHONPATH": SRC}, cwd=tmp_path,
+        capture_output=True, text=True, timeout=60)
+    assert completed.returncode == 2, completed.stderr
+    assert "repro-serve: " in completed.stderr
+    assert "Traceback" not in completed.stderr
+    assert not socket_path.exists()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.service.protocol import (Hello, ProtocolError, done_line,
                                     encode_hello, err_line, ok_new,
-                                    ok_resume, parse_hello)
+                                    parse_hello)
 
 KINDS = frozenset({"dictionary", "counter"})
 
@@ -74,7 +74,6 @@ class TestHello:
 class TestResponses:
     def test_acks(self):
         assert ok_new() == "OK NEW"
-        assert ok_resume(1200) == "OK RESUME 1200"
         assert done_line(3) == "DONE 3"
 
     def test_err_collapses_to_one_line(self):

@@ -1,15 +1,12 @@
-"""Crash-resume: fast-forward validation, degradation, kill -9 writers.
+"""Reconnects: a returning tenant is analyzed again from event zero.
 
-The resume design under test: a reconnecting tenant re-streams its trace
-from event zero, the server fast-forwards through the checkpointed
-prefix while recomputing the fingerprint digest, and only a digest match
-lets the checkpointed analyzer continue — any defect (edited trace,
-corrupt file, version skew) degrades to a fresh analysis, never a wrong
-one.  The kill -9 test is the satellite-3 acceptance: two tenants
-writing *concurrently* into one shared checkpoint directory, both
-clients SIGKILLed mid-stream, both resumed byte-identically — under
-whatever multiprocessing start method ``REPRO_TEST_START_METHOD``
-selects.
+A stream that ends early leaves nothing behind to adopt.  The client
+re-sends its whole trace, the server acks ``OK NEW``, and a fresh
+session analyzes what was re-sent, so the served report is
+byte-identical to offline analysis of that trace — the same trace, an
+edited one, or one with other object bindings.  The SIGKILL test ends
+two concurrent writer processes mid-stream, under whatever
+multiprocessing start method ``REPRO_TEST_START_METHOD`` selects.
 """
 
 import multiprocessing
@@ -19,19 +16,18 @@ import time
 
 import pytest
 
+from repro.core.serialize import loads_trace
 from repro.service import ControlClient, ServiceClient, SessionConfig
 from repro.service.chaos import offline_race_lines
-from repro.service.checkpoints import tenant_checkpoint_path
 from repro.testing.workloads import tenant_trace_text
 
 RACY_SEED = 18          # single dictionary, 133 events, many races
 SECOND_SEED = 9         # msetlog + counter, different shape
 KILL_OPS = 120          # ops per thread for the kill -9 workloads
 
-
-def resume_session_config(tmp_path) -> SessionConfig:
-    return SessionConfig(window=8, checkpoint_dir=str(tmp_path / "ckpt"),
-                         checkpoint_interval=16)
+#: A small maintenance window, so every re-analysis crosses many
+#: window boundaries.
+RECONNECT_CONFIG = SessionConfig(window=8)
 
 
 def served_races(control, tenant):
@@ -50,94 +46,63 @@ def stream_past_busy(client, tenant, bindings, text, **kw):
     pytest.fail(f"server stayed busy for tenant {tenant}")
 
 
-class TestFastForwardResume:
-    def test_torn_stream_resumes_byte_identically(self, make_server,
-                                                  tmp_path):
-        host = make_server(session=resume_session_config(tmp_path))
+def tear(client, bindings, text):
+    """Send three quarters of the trace bytes, cutting a record in half."""
+    torn = client.stream_text("web", bindings, text,
+                              truncate_at=(len(text) * 3) // 4)
+    assert torn.status == "disconnected"
+    assert torn.ack == "OK NEW"
+
+
+class TestReconnect:
+    def test_torn_stream_reconnects_byte_identically(self, make_server):
+        host = make_server(session=RECONNECT_CONFIG)
         client = ServiceClient(host.config.socket_path)
         control = ControlClient(host.config.control_path)
         text, bindings, trace = tenant_trace_text(RACY_SEED)
-        # Kill the stream mid-record, well past the checkpoint cadence.
-        torn = client.stream_text("web", bindings, text,
-                                  truncate_at=(len(text) * 3) // 4)
-        assert torn.status == "disconnected"
+        tear(client, bindings, text)
         attempts = client.stream_until_done("web", bindings, text)
         final = attempts[-1]
         assert final.status == "done", attempts
-        assert final.resumed > 0  # the server really fast-forwarded
+        assert final.ack == "OK NEW"
         assert served_races(control, "web") \
             == offline_race_lines(trace, bindings)
-        stats = control.stats()
-        assert stats["counters"]["tenants_resumed"] >= 1
-        assert stats["counters"]["tenant_checkpoints_written"] >= 1
 
-    def test_edited_trace_rejects_checkpoint_then_fresh(self, make_server,
-                                                        tmp_path):
-        host = make_server(session=resume_session_config(tmp_path))
+    def test_edited_trace_is_analyzed_as_edited(self, make_server):
+        host = make_server(session=RECONNECT_CONFIG)
         client = ServiceClient(host.config.socket_path)
         control = ControlClient(host.config.control_path)
         text, bindings, trace = tenant_trace_text(RACY_SEED)
-        torn = client.stream_text("web", bindings, text,
-                                  truncate_at=(len(text) * 3) // 4)
-        assert torn.status == "disconnected"
+        tear(client, bindings, text)
         # "Edit" the trace: swap the first two fork records.  Same
-        # events, different prefix — the fingerprint digest must veto
-        # the fast-forward.
+        # events, different prefix.
         lines = text.splitlines()
         lines[1], lines[2] = lines[2], lines[1]
         edited = "\n".join(lines) + "\n"
-        rejected = stream_past_busy(client, "web", bindings, edited)
-        assert rejected.resumed > 0
-        assert rejected.final.startswith("ERR checkpoint-rejected")
-        # The dumb-client retry then gets a fresh, correct analysis of
-        # the edited trace.
-        final = client.stream_until_done("web", bindings, edited)[-1]
+        final = stream_past_busy(client, "web", bindings, edited)
         assert final.status == "done", final
         assert final.ack == "OK NEW"
-        from repro.core.serialize import loads_trace
-        assert served_races(control, "web") \
-            == offline_race_lines(loads_trace(edited), bindings)
+        expected = offline_race_lines(loads_trace(edited), bindings)
+        assert expected != offline_race_lines(trace, bindings)
+        assert served_races(control, "web") == expected
 
-    def test_corrupt_checkpoint_degrades_to_fresh(self, make_server,
-                                                  tmp_path):
-        host = make_server(session=resume_session_config(tmp_path))
+    def test_changed_bindings_start_fresh(self, make_server):
+        host = make_server(session=RECONNECT_CONFIG)
         client = ServiceClient(host.config.socket_path)
         control = ControlClient(host.config.control_path)
-        text, bindings, trace = tenant_trace_text(RACY_SEED)
-        torn = client.stream_text("web", bindings, text,
-                                  truncate_at=(len(text) * 3) // 4)
-        assert torn.status == "disconnected"
-        path = tenant_checkpoint_path(str(tmp_path / "ckpt"), "web")
-        _wait_for(lambda: os.path.exists(path), timeout=30,
-                  what="the disconnect checkpoint")
-        blob = bytearray(open(path, "rb").read())
-        blob[-1] ^= 0xFF
-        open(path, "wb").write(bytes(blob))
-        final = stream_past_busy(client, "web", bindings, text)
-        assert final.ack == "OK NEW"  # degraded, not dead
-        assert final.status == "done"
-        assert served_races(control, "web") \
-            == offline_race_lines(trace, bindings)
-        assert control.stats()["counters"][
-            "tenant_checkpoints_rejected"] >= 1
-
-    def test_changed_bindings_silently_start_fresh(self, make_server,
-                                                   tmp_path):
-        host = make_server(session=resume_session_config(tmp_path))
-        client = ServiceClient(host.config.socket_path)
         text, bindings, _ = tenant_trace_text(RACY_SEED)
-        torn = client.stream_text("web", bindings, text,
-                                  truncate_at=(len(text) * 3) // 4)
-        assert torn.status == "disconnected"
+        tear(client, bindings, text)
         other_text, other_bindings, other_trace = tenant_trace_text(
             SECOND_SEED)
         assert other_bindings != bindings
         final = stream_past_busy(client, "web", other_bindings, other_text)
+        assert final.status == "done", final
         assert final.ack == "OK NEW"
-        assert final.status == "done"
+        assert served_races(control, "web") \
+            == offline_race_lines(other_trace, other_bindings)
 
 
-# -- satellite 3: concurrent writers, kill -9 --------------------------------
+# -- concurrent writers, kill -9 ---------------------------------------------
 
 def _slow_writer(socket_path: str, tenant: str, seed: int,
                  delay: float) -> None:
@@ -182,12 +147,11 @@ def _status_events(control, tenant) -> int:
 
 
 class TestKillNineWriters:
-    def test_concurrent_sigkilled_writers_resume_from_shared_dir(
-            self, make_server, tmp_path, start_method):
-        host = make_server(session=resume_session_config(tmp_path))
+    def test_concurrent_sigkilled_writers_reconnect(
+            self, make_server, start_method):
+        host = make_server(session=RECONNECT_CONFIG)
         control = ControlClient(host.config.control_path)
         client = ServiceClient(host.config.socket_path)
-        ckpt_dir = str(tmp_path / "ckpt")
         ctx = multiprocessing.get_context(start_method)
         writers = {
             "alpha": (RACY_SEED,
@@ -202,8 +166,8 @@ class TestKillNineWriters:
         for _, process in writers.values():
             process.start()
         try:
-            # Let both sessions get well past the checkpoint cadence,
-            # then kill -9 both clients mid-stream.
+            # Let both sessions get well into their traces, then kill -9
+            # both clients mid-stream.
             for tenant in writers:
                 _wait_for(lambda t=tenant: _status_events(control, t) >= 40,
                           timeout=60,
@@ -213,29 +177,18 @@ class TestKillNineWriters:
             for _, process in writers.values():
                 process.join(timeout=10)
                 assert process.exitcode == -signal.SIGKILL
-            # The server notices both EOFs and parks both tenants'
-            # checkpoints in the *shared* directory, under distinct
-            # namespaced names.
-            paths = {tenant: tenant_checkpoint_path(ckpt_dir, tenant)
-                     for tenant in writers}
-            assert len(set(paths.values())) == 2
-            for tenant, path in paths.items():
-                _wait_for(lambda p=path: os.path.exists(p), timeout=30,
-                          what=f"checkpoint for {tenant}")
-            # Both tenants reconnect, fast-forward, and finish with
-            # reports byte-identical to offline analysis.
+            # Both tenants reconnect, re-send from event zero, and finish
+            # with reports byte-identical to offline analysis.
             for tenant, (seed, _) in writers.items():
                 text, bindings, trace = tenant_trace_text(
                     seed, min_ops=KILL_OPS, max_ops=KILL_OPS)
                 attempts = client.stream_until_done(tenant, bindings, text)
                 final = attempts[-1]
                 assert final.status == "done", (tenant, attempts)
-                assert any(a.resumed > 0 for a in attempts), (tenant,
-                                                              attempts)
+                assert final.ack == "OK NEW", (tenant, attempts)
                 observed = served_races(control, tenant)
                 assert observed == offline_race_lines(trace, bindings), \
                     tenant
-            assert control.stats()["counters"]["tenants_resumed"] >= 2
         finally:
             for _, process in writers.values():
                 if process.is_alive():
