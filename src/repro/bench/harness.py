@@ -13,6 +13,7 @@ assembles rows from these measurements.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -96,6 +97,10 @@ def measure(workload: Callable[[Monitor], int], config: str,
     Races accumulate across repeats only in the *last* run's monitor (each
     repeat gets a fresh monitor, so tallies are per-run as in the paper,
     which reports the races of a single benchmark execution).
+
+    Each run is timed with the cyclic collector off (collected before the
+    timer starts, re-enabled after it stops), so a collection paid for by
+    garbage an earlier run left behind is not billed to this one.
     """
     best_elapsed: Optional[float] = None
     last_monitor: Optional[Monitor] = None
@@ -103,9 +108,14 @@ def measure(workload: Callable[[Monitor], int], config: str,
     for _ in range(max(1, repeats)):
         monitor = Monitor(analyzers=analyzer_stack(config),
                           **_MONITOR_OPTIONS.get(config, {}))
-        started = time.perf_counter()
-        operations = workload(monitor)
-        elapsed = time.perf_counter() - started
+        gc.collect()
+        gc.disable()
+        try:
+            started = time.perf_counter()
+            operations = workload(monitor)
+            elapsed = time.perf_counter() - started
+        finally:
+            gc.enable()
         if best_elapsed is None or elapsed < best_elapsed:
             best_elapsed = elapsed
         last_monitor = monitor

@@ -9,7 +9,9 @@ with :func:`repro.core.serialize.dump_trace`, then analyze it later::
     repro-analyze trace.jsonl --detector fasttrack
     repro-analyze trace.jsonl --object o=dictionary --atomicity
     repro-analyze trace.jsonl --spec-report dictionary
-    repro-analyze --verify-specs dictionary
+
+Verifying the bundled specs is a separate command, ``repro-verify-specs``
+(:mod:`repro.verify.cli`).
 
 ``--object NAME=KIND`` binds a shared object in the trace to a bundled
 specification kind; the commutativity detectors need at least one binding,
@@ -188,7 +190,6 @@ def _load_trace_file(path: str):
 def _analyze_commutativity(trace, bindings, detector_kind: str,
                            workers: int = 1, obs=NULL_REGISTRY,
                            shard_timeout: Optional[float] = None,
-                           prune_interval: int = 0,
                            predict_window: int = 0,
                            ) -> Tuple[int, Optional[Dict[str, Any]],
                                       Optional[List[Any]]]:
@@ -196,19 +197,17 @@ def _analyze_commutativity(trace, bindings, detector_kind: str,
     if not bindings:
         _fail("commutativity analysis needs at least one --object NAME=KIND",
               EXIT_USAGE)
-    if detector_kind == "rd2" and (workers > 1 or shard_timeout is not None):
+    if detector_kind == "rd2" and workers > 1:
         from .core.parallel import ShardedDetector
         from .core.supervise import DEFAULT_SHARD_TIMEOUT
         detector = ShardedDetector(
-            root=trace.root, workers=workers, prune_interval=prune_interval,
-            obs=obs, predict_window=predict_window,
+            root=trace.root, workers=workers, obs=obs,
+            predict_window=predict_window,
             shard_timeout=(DEFAULT_SHARD_TIMEOUT if shard_timeout is None
                            else shard_timeout))
     elif detector_kind == "rd2":
         from .core.detector import CommutativityRaceDetector
-        detector = CommutativityRaceDetector(root=trace.root,
-                                             prune_interval=prune_interval,
-                                             obs=obs,
+        detector = CommutativityRaceDetector(root=trace.root, obs=obs,
                                              predict_window=predict_window)
     else:
         from .core.direct import DirectDetector
@@ -405,17 +404,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "one pickled payload per shard; default "
                              "1 = sequential)")
     parser.add_argument("--shard-timeout", default=None, metavar="SECONDS",
-                        help="seconds the shard workers of a --workers run "
-                             "have to answer; a shard whose worker fails or "
-                             "stays silent is replayed in-process "
-                             "(default 120)")
+                        help="seconds the shard workers of a --workers N "
+                             "run (N >= 2) have to answer; a shard whose "
+                             "worker fails or stays silent is replayed "
+                             "in-process (default 120)")
     parser.add_argument("--prune-interval", default=None, metavar="N",
                         dest="prune_interval",
-                        help="rd2: every N actions, reclaim active points "
-                             "(and their interned entries) ordered before "
-                             "every live thread — bounds memory by the "
-                             "concurrent footprint (verdict-preserving; "
-                             "works sequentially and with --workers)")
+                        help="--follow: every N actions, reclaim active "
+                             "points (and their interned entries) ordered "
+                             "before every live thread — bounds memory by "
+                             "the concurrent footprint (verdict-preserving)")
     parser.add_argument("--predict", nargs="?", const="256", default=None,
                         metavar="WINDOW",
                         help="rd2: additionally report *predicted* "
@@ -449,12 +447,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--spec-report", metavar="KIND",
                         help="print the Fig. 6/7-style report of a bundled "
                              "spec and exit")
-    parser.add_argument("--verify-specs", nargs="?", const="all",
-                        metavar="KIND", dest="verify_specs",
-                        help="exhaustively verify a bundled spec (or all "
-                             "of them) against its executable semantics "
-                             "and exit; see repro-verify-specs for the "
-                             "full interface")
     parser.add_argument("--stats", action="store_true",
                         help="print the observability table (per-phase "
                              "timings, per-object and per-method-pair "
@@ -476,23 +468,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(spec_report(registry[args.spec_report].spec()))
         return EXIT_CLEAN
 
-    if args.verify_specs:
-        from .verify.cli import main as verify_main
-        kinds = [] if args.verify_specs == "all" else [args.verify_specs]
-        return verify_main(kinds)
-
     if not args.trace:
         _fail("a trace file is required (or use --spec-report)", EXIT_USAGE)
 
     workers = _parse_workers(args.workers)
     shard_timeout = _parse_shard_timeout(args)
-    sharded = workers > 1 or shard_timeout is not None
-    if sharded and (args.detector != "rd2" or args.atomicity):
+    sharded = workers > 1
+    if ((sharded or shard_timeout is not None)
+            and (args.detector != "rd2" or args.atomicity)):
         _fail("--workers and --shard-* apply only to the rd2 detector",
               EXIT_USAGE)
+    if shard_timeout is not None and not sharded:
+        # Without worker processes every shard runs inline, so no timer
+        # could ever fire.
+        _fail("--shard-timeout requires --workers N with N >= 2",
+              EXIT_USAGE)
     prune_interval = _parse_prune_interval(args)
-    if prune_interval and (args.detector != "rd2" or args.atomicity):
-        _fail("--prune-interval applies only to the rd2 detector", EXIT_USAGE)
     predict_window = _parse_predict(args)
     if predict_window and (args.detector != "rd2" or args.atomicity):
         _fail("--predict applies only to the rd2 detector", EXIT_USAGE)
@@ -504,8 +495,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if sharded:
             _fail("--follow is a sequential streaming mode; it cannot be "
                   "combined with --workers or --shard-*", EXIT_USAGE)
-    elif window is not None or follow_timeout is not None:
-        _fail("--window and --follow-timeout require --follow", EXIT_USAGE)
+    elif (window is not None or follow_timeout is not None
+          or prune_interval):
+        # A batch run holds the whole trace in memory before it checks
+        # one event, so pruning could not bound it; a followed trace is
+        # never held, and pruning is what keeps its state bounded.
+        _fail("--window, --follow-timeout and --prune-interval require "
+              "--follow", EXIT_USAGE)
 
     want_obs = args.stats or args.stats_json or args.spans
     stream = SpanStream(args.spans) if args.spans else None
@@ -548,7 +544,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 code, faults, predicted = _analyze_commutativity(
                     trace, bindings, args.detector, workers=workers, obs=obs,
                     shard_timeout=shard_timeout,
-                    prune_interval=prune_interval,
                     predict_window=predict_window)
             else:
                 code, faults = _analyze_memory(trace, args.detector, obs=obs)

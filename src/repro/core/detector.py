@@ -364,22 +364,6 @@ class CommutativityRaceDetector:
             reclaimed += self._prune_state(obj, state, live_clocks)
         return reclaimed
 
-    def prune_object_with_clocks(self, obj: ObjectId,
-                                 live_clocks) -> int:
-        """Prune one object's points against externally supplied clocks.
-
-        The sharded pipeline's shard workers replay per-object actions
-        with a pristine happens-before tracker of their own, so they
-        cannot compute the live-thread clocks themselves; phase A captures
-        them at each prune boundary and the workers apply them here —
-        reaching the exact per-object state (and stats) the sequential
-        detector's :meth:`prune_ordered_points` would at that boundary.
-        """
-        state = self._objects.get(obj)
-        if state is None:
-            return 0
-        return self._prune_state(obj, state, live_clocks)
-
     def _prune_state(self, obj: ObjectId, state: _ObjectState,
                      live_clocks) -> int:
         """Prune one object's dead points and evict their interned traces."""

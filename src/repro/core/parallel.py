@@ -55,7 +55,7 @@ import math
 import multiprocessing
 import pickle
 from time import perf_counter_ns
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .backend import resolve_backend
 from .detector import (CommutativityRaceDetector, DetectorStats, Strategy,
@@ -101,12 +101,8 @@ def partition_by_load(loads: Sequence[Tuple[ObjectId, int]],
 # the worker builds its own registry (sampling at that interval) and ships
 # it back for the merge.  Plans are compiled once in the facade and
 # shipped, not recompiled per shard; pickle memoization dedups the plan's
-# references into the representation riding alongside.  ``prune_snaps``
-# are the phase-A prune boundaries: ``(trace index of the triggering
-# action, live-thread clocks at that moment)`` — what a shard worker needs
-# to prune exactly where (and with exactly the clocks) the sequential
-# detector's ``prune_interval`` counter would.
-_ShardPayload = Tuple[bool, Optional[int], List[Tuple[int, List[Any]]],
+# references into the representation riding alongside.
+_ShardPayload = Tuple[Optional[int],
                       List[Tuple[ObjectId, Any, Strategy, Any,
                                  List[Tuple[Any, ...]]]]]
 
@@ -123,14 +119,8 @@ def _analyze_shard(payload: _ShardPayload):
     shard's metric registry (None with observability off); the facade
     absorbs it next to the shard's stats, so per-object and per-method-
     pair attribution survives the fan-out.
-
-    When the facade neither keeps reports nor has an ``on_race`` callback
-    (``need_reports`` false), races are only counted: shipping tens of
-    thousands of report objects back over the pipe would dominate the
-    transport's cost for report-dense traces, mirroring why the sequential
-    detector grew ``keep_reports=False`` for long benchmark runs.
     """
-    need_reports, obs_interval, prune_snaps, objects = payload
+    obs_interval, objects = payload
     obs = None
     if obs_interval is not None:
         from ..obs.registry import Registry
@@ -144,33 +134,19 @@ def _analyze_shard(payload: _ShardPayload):
     shell = unpack_stamped_action(None, (0, 0, "", (), (), None))
     stats = detector.stats
     triples: List[Tuple[int, int, CommutativityRace]] = []
-    snap_count = len(prune_snaps)
     replay_start = perf_counter_ns() if obs is not None else 0
     for obj, _, _, _, packed_actions in objects:
-        # The sequential detector prunes *all* objects after the action at
-        # each boundary index; this object's state at that moment is fully
-        # determined by its own actions with index <= boundary, so
-        # applying each snapshot between the surrounding actions replays
-        # the sequential prune (and its stats) exactly.
-        snap_at = 0
         for packed in packed_actions:
             index, shell.tid, method, args, returns, shell.clock = packed
-            while snap_at < snap_count and prune_snaps[snap_at][0] < index:
-                detector.prune_object_with_clocks(
-                    obj, prune_snaps[snap_at][1])
-                snap_at += 1
             shell.action = Action(obj, method, args, returns)
             shell.index = index
             stats.events += 1
             if obs is not None:
                 detector._obs_advance()
             found = detector._process_action(shell, shell.clock)
-            if found and need_reports:
+            if found:
                 triples.extend((index, seq, race)
                                for seq, race in enumerate(found))
-        while snap_at < snap_count:
-            detector.prune_object_with_clocks(obj, prune_snaps[snap_at][1])
-            snap_at += 1
     if obs is not None:
         # One exact span per shard: merged, the "shard" timer sums replay
         # CPU time across shards (vs. the facade's "fanout" wall clock).
@@ -237,9 +213,6 @@ class ShardedDetector:
     ----------
     root:
         Thread id of the initial thread.
-    strategy / keep_reports / on_race:
-        As for the sequential detector; ``on_race`` fires during the merge,
-        in stable event-index order.
     workers:
         Worker process count for phase B.  ``None`` uses the machine's CPU
         count; ``0`` or ``1`` runs the shard work inline (no subprocesses,
@@ -261,13 +234,6 @@ class ShardedDetector:
         runs phase B gives the shard workers to answer (finite, > 0); a
         silent worker is hung, and its shard is replayed in-process like
         any other failed one.
-    prune_interval:
-        As for the sequential detector: every N actions, reclaim active
-        points (and their interned entries) that are ordered before every
-        live thread.  Phase A records the live-thread clocks at each
-        boundary and ships them to the shard workers, which apply them
-        between the surrounding actions — verdicts, ``points_pruned`` and
-        ``interned_points_evicted`` all match the sequential detector's.
     backend:
         Phase-B transport: ``None`` or ``"pickle"``, the only one there
         is; anything else is a :class:`ValueError`.
@@ -282,14 +248,10 @@ class ShardedDetector:
     def __init__(
         self,
         root: Tid = 0,
-        strategy: Strategy = Strategy.AUTO,
-        on_race: Optional[Callable[[CommutativityRace], None]] = None,
-        keep_reports: bool = True,
         workers: Optional[int] = None,
         mp_context: Optional[str] = None,
         obs=None,
         shard_timeout: float = DEFAULT_SHARD_TIMEOUT,
-        prune_interval: int = 0,
         backend: Optional[str] = None,
         predict_window: int = 0,
     ):
@@ -300,11 +262,6 @@ class ShardedDetector:
             raise ValueError(f"shard_timeout must be finite and > 0, "
                              f"got {shard_timeout}")
         self._root = root
-        self._prune_interval = prune_interval
-        self._prune_snaps: List[Tuple[int, List[Any]]] = []
-        self._strategy = strategy
-        self._on_race = on_race
-        self._keep_reports = keep_reports
         self._obs = obs if (obs is not None and obs.enabled) else None
         self.workers = multiprocessing.cpu_count() if workers is None else workers
         if self.workers < 0:
@@ -346,7 +303,7 @@ class ShardedDetector:
         # the facade: every worker receives the finished plan in its
         # payload instead of re-deriving it per shard.
         chosen, plan = resolve_strategy(obj, representation,
-                                        strategy or self._strategy)
+                                        strategy or Strategy.AUTO)
         self._registrations[obj] = (representation, chosen, plan)
 
     def release_object(self, obj: ObjectId) -> None:
@@ -411,15 +368,6 @@ class ShardedDetector:
         self._hb = HappensBeforeTracker(root=self._root)
         groups = {obj: [] for obj in self._registrations}
         total = 0
-        # Prune boundaries: the sequential detector counts *actions* (all
-        # ACTION events, registered or not) and prunes after every
-        # interval-th one; record that action's trace index and the live
-        # clocks at that instant for the shard workers.  clock_of()
-        # freezes, so the snapshots cannot be corrupted by later stamping.
-        interval = self._prune_interval
-        snaps: List[Tuple[int, List[Any]]] = []
-        self._prune_snaps = snaps
-        actions_seen = 0
         for index, event in enumerate(events):
             clock = self._hb.observe(event)
             total += 1
@@ -427,28 +375,19 @@ class ShardedDetector:
                 bucket = groups.get(event.action.obj)
                 if bucket is not None:
                     bucket.append(pack_stamped_action(event, index, clock))
-                if interval:
-                    actions_seen += 1
-                    if actions_seen >= interval:
-                        actions_seen = 0
-                        snaps.append((index, [
-                            self._hb.clock_of(tid)
-                            for tid in self._hb.live_threads()]))
         return groups, total
 
     # Phase B: shard the objects and fan the per-object replay out.
     def _fan_out(self, groups: Dict[ObjectId, List[Tuple[Any, ...]]]):
         loads = [(obj, len(bucket)) for obj, bucket in groups.items()]
         shard_count = max(1, min(self.workers, len(loads)))
-        need_reports = self._keep_reports or self._on_race is not None
         obs_interval = (self._obs.sample_interval
                         if self._obs is not None else None)
         payloads = []
         for shard_objs in partition_by_load(loads, shard_count):
             objects = [(obj,) + self._registrations[obj] + (groups[obj],)
                        for obj in shard_objs]
-            payloads.append((need_reports, obs_interval, self._prune_snaps,
-                             objects))
+            payloads.append((obs_interval, objects))
         if not payloads:
             return []
         if self.workers <= 1 or len(payloads) == 1:
@@ -473,11 +412,7 @@ class ShardedDetector:
         # comes from the phase-A pass (sync events included, once).
         self.stats.events = total_events
         triples.sort(key=lambda t: (t[0], t[1]))
-        merged = [race for _, _, race in triples]
-        self.races = merged if self._keep_reports else []
-        if self._on_race is not None:
-            for race in merged:
-                self._on_race(race)
+        self.races = [race for _, _, race in triples]
 
     # -- convenience -----------------------------------------------------------
 

@@ -50,9 +50,10 @@ class TestShapeClaims:
 
     @pytest.fixture(scope="class")
     def rows(self):
-        # Best-of-3 per cell: the shape claims compare wall-clock numbers,
-        # and a single-shot measurement can catch a GC pause on whichever
-        # config runs first (flaky under a loaded full-suite run).
+        # Best-of-3 per cell, the three configurations interleaved in each
+        # round and every run timed with the collector off: the shape
+        # claims compare wall-clock numbers of about 0.05 s, which a GC
+        # pause or a slow stretch of a loaded full-suite run can flip.
         return {row.benchmark: row
                 for row in run_table2(scale=0.15, seed=0, repeats=3)}
 

@@ -44,10 +44,11 @@ def corpus():
         yield seed, build_multi_object_trace(random_multi_object_program(seed))
 
 
-def run_detector(trace, bindings, factory, **kw):
+def run_detector(trace, bindings, factory, strategy=None, **kw):
     if factory is ShardedDetector and START_METHOD:
         kw.setdefault("mp_context", START_METHOD)
-    detector = register_bindings(factory(root=0, **kw), bindings)
+    detector = register_bindings(factory(root=0, **kw), bindings,
+                                 strategy=strategy)
     detector.run(trace)
     return detector
 

@@ -182,18 +182,7 @@ def test_streaming_axis_matches_snapshot(name, prune_interval):
 
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
-def test_sharded_epoch_batch_axis_matches_snapshot(name):
-    # Shard workers apply phase A's prune snapshots between their actions.
-    trace, expected = load_case(name)
-    detector = register(ShardedDetector(root=trace.root, workers=2,
-                                        prune_interval=2), expected)
-    detector.run(trace)
-    assert [race_snapshot(race) for race in detector.races] \
-        == expected["races"]
-
-
-@pytest.mark.parametrize("name", GOLDEN_NAMES)
-def test_streaming_epoch_batch_axis_matches_snapshot(name):
+def test_streaming_window_prune_axis_matches_snapshot(name):
     # Epochs, pruning and a deflation window every three events.
     from repro.core.stream import StreamAnalyzer
     trace, expected = load_case(name)

@@ -71,6 +71,14 @@ class TestRobustnessFlagValidation:
         err = usage_error(capsys, [TRACE, *OBJECTS, *argv])
         assert "only to the rd2 detector" in err
 
+    @pytest.mark.parametrize("workers", [[], ["--workers", "1"]],
+                             ids=["no-workers", "workers-1"])
+    def test_shard_timeout_needs_worker_processes(self, capsys, workers):
+        # One worker runs every shard inline: no child, nothing to time.
+        err = usage_error(capsys, [TRACE, *OBJECTS, "--shard-timeout", "5",
+                                   *workers])
+        assert "--shard-timeout requires --workers" in err
+
     def test_shard_retries_is_a_usage_error(self):
         # A failed shard is replayed in-process at once, so there is no
         # retry count to set: the flag is unknown, not silently ignored.

@@ -4,8 +4,8 @@ The two-phase pipeline's whole claim is that fanning Algorithm 1's
 per-object work out by shard changes *nothing*: same race reports, in the
 same order, with the same counters.  The 120-seed corpus sweeps live in
 ``test_differential_harness.py``; this suite adds hypothesis-shrunk
-programs, a real multiprocessing pool at several worker counts, the SCAN
-strategy, and the merge semantics.
+programs, a real multiprocessing pool at several worker counts, and the
+SCAN strategy.
 """
 
 import pytest
@@ -18,11 +18,11 @@ from tests.support import (build_multi_object_trace, multi_object_programs,
                            random_multi_object_program, register_bindings)
 
 
-def run_pair(trace, bindings, *, workers, seq_kw=None, shard_kw=None):
+def run_pair(trace, bindings, *, workers, **register_kw):
     sequential = register_bindings(
-        CommutativityRaceDetector(root=0, **(seq_kw or {})), bindings)
+        CommutativityRaceDetector(root=0), bindings, **register_kw)
     sharded = register_bindings(
-        ShardedDetector(root=0, workers=workers, **(shard_kw or {})), bindings)
+        ShardedDetector(root=0, workers=workers), bindings, **register_kw)
     sequential.run(trace)
     sharded.run(trace)
     return sequential, sharded
@@ -54,10 +54,8 @@ class TestDifferentialCorpus:
         for seed in range(20):
             program = random_multi_object_program(seed)
             trace, bindings = build_multi_object_trace(program)
-            sequential, sharded = run_pair(
-                trace, bindings, workers=1,
-                seq_kw={"strategy": Strategy.SCAN},
-                shard_kw={"strategy": Strategy.SCAN})
+            sequential, sharded = run_pair(trace, bindings, workers=1,
+                                           strategy=Strategy.SCAN)
             assert_identical(sequential, sharded)
 
 
@@ -80,24 +78,3 @@ class TestMergedCountersAgree:
             assert sharded.stats.checks_per_action() == pytest.approx(
                 sequential.stats.checks_per_action())
 
-
-class TestMergeSemantics:
-    def test_on_race_fires_in_event_index_order(self):
-        program = random_multi_object_program(8, max_objects=4, max_ops=40)
-        trace, bindings = build_multi_object_trace(program)
-        sequential, _ = run_pair(trace, bindings, workers=1)
-        seen = []
-        sharded = register_bindings(
-            ShardedDetector(root=0, workers=1, on_race=seen.append), bindings)
-        sharded.run(trace)
-        assert seen == sequential.races
-
-    def test_keep_reports_false_still_counts(self):
-        program = random_multi_object_program(8)
-        trace, bindings = build_multi_object_trace(program)
-        sequential, _ = run_pair(trace, bindings, workers=1)
-        sharded = register_bindings(
-            ShardedDetector(root=0, workers=1, keep_reports=False), bindings)
-        sharded.run(trace)
-        assert sharded.races == []
-        assert sharded.stats.races == sequential.stats.races

@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.detector import CommutativityRaceDetector
-from repro.core.parallel import ShardedDetector
 from repro.core.serialize import TailReader, dump_trace, dumps_trace
 from repro.core.stream import StreamAnalyzer, follow_analyze
 from repro.testing.faults import truncate_file
@@ -68,23 +67,6 @@ class TestStreamingCorpus:
         assert snapshots(streamed) == snapshots(batch)
         # Without pruning nothing may be evicted either.
         assert streamed.stats.interned_points_evicted == 0
-
-    def test_sharded_pruning_matches_sequential(self):
-        """--prune-interval through the two-phase pipeline: same races,
-        same prune/eviction counters, shard for shard."""
-        for seed in range(40):
-            trace, bindings = build_multi_object_trace(
-                random_multi_object_program(seed))
-            sequential = batch_run(trace, bindings, prune_interval=3)
-            sharded = register_bindings(
-                ShardedDetector(root=trace.root, workers=0,
-                                prune_interval=3), bindings)
-            sharded.run(trace)
-            assert snapshots(sharded) == snapshots(sequential), f"seed {seed}"
-            assert sharded.stats.points_pruned \
-                == sequential.stats.points_pruned
-            assert sharded.stats.interned_points_evicted \
-                == sequential.stats.interned_points_evicted
 
 
 class TestMemoryBound:

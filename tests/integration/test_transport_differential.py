@@ -5,9 +5,9 @@ method CI selected for the whole run; this suite pins the shard transport
 under **both** start methods explicitly, in one process, because the two
 fail differently: fork inherits the parent's memory, spawn re-imports
 everything and unpickles every payload (pickling bugs in stamped clocks,
-plans or registrations).  Plus seeded fleets: byte-identical reports with
-pruning composed in, fault-free supervision, and the IPC observability
-counters the transport promises.
+plans or registrations).  Plus seeded fleets: byte-identical reports,
+fault-free supervision, and the IPC observability counters the transport
+promises.
 """
 
 import multiprocessing
@@ -61,15 +61,6 @@ class TestTransportDifferential:
             assert not det.faults.records()
             nonempty += bool(want)
         assert nonempty >= 2, "corpus never exercised the race paths"
-
-    def test_with_pruning(self, mp_context):
-        for seed in (3, 17):
-            program = random_multi_object_program(seed, max_ops=60)
-            trace, bindings = build_multi_object_trace(program)
-            want = reference_snapshots(trace, bindings)
-            det = run_sharded(trace, bindings, mp_context,
-                              prune_interval=7)
-            assert [race_snapshot(r) for r in det.races] == want, seed
 
 
 def fanout_trace(width, actions=400):

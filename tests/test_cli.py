@@ -101,6 +101,13 @@ class TestAnalyzeCli:
             main([racy_trace_file, "--object", "o=dictionary", *argv])
         assert err.value.code == 2
 
+    def test_verify_specs_is_not_a_flag(self, capsys):
+        # Spec verification is repro-verify-specs's alone.
+        with pytest.raises(SystemExit) as err:
+            main(["--verify-specs", "dictionary"])
+        assert err.value.code == 2
+        assert "--verify-specs" in capsys.readouterr().err
+
     def test_trace_argument_required(self):
         with pytest.raises(SystemExit):
             main([])
@@ -168,29 +175,37 @@ class TestBackendFlag:
 
 
 class TestPruneIntervalFlag:
+    FOLLOW = ["--object", "o=dictionary", "--follow", "--follow-timeout", "5"]
+
     def test_pruning_reports_the_same_races(self, racy_trace_file, capsys):
-        plain = main([racy_trace_file, "--object", "o=dictionary"])
+        plain = main([racy_trace_file, *self.FOLLOW])
         plain_out = capsys.readouterr().out
-        pruned = main([racy_trace_file, "--object", "o=dictionary",
+        pruned = main([racy_trace_file, *self.FOLLOW,
                        "--prune-interval", "1"])
         pruned_out = capsys.readouterr().out
         assert pruned == plain == 1
         # Pruning is fully verdict-preserving: identical reports, byte
-        # for byte (only the "loaded ..." preamble is shared anyway).
+        # for byte, streamed race lines included.
         assert pruned_out == plain_out
 
-    def test_composes_with_workers(self, racy_trace_file, capsys):
-        code = main([racy_trace_file, "--object", "o=dictionary",
-                     "--prune-interval", "2", "--workers", "2"])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "[2 workers]" in out
+    @pytest.mark.parametrize("extra", [[], ["--workers", "2"]],
+                             ids=["sequential", "workers"])
+    def test_batch_runs_are_rejected(self, racy_trace_file, capsys, extra):
+        # A batch run holds the whole trace before it checks an event,
+        # so pruning cannot bound its memory: the flag is --follow's.
+        with pytest.raises(SystemExit) as err:
+            main([racy_trace_file, "--object", "o=dictionary",
+                  "--prune-interval", "8", *extra])
+        assert err.value.code == 2
+        message = capsys.readouterr().err.strip()
+        assert message.startswith("repro-analyze: error: ")
+        assert "\n" not in message
+        assert "--prune-interval" in message and "--follow" in message
 
     def test_nonpositive_rejected(self, racy_trace_file):
         for bad in ("0", "-3", "soon"):
             with pytest.raises(SystemExit) as err:
-                main([racy_trace_file, "--object", "o=dictionary",
-                      "--prune-interval", bad])
+                main([racy_trace_file, *self.FOLLOW, "--prune-interval", bad])
             assert err.value.code == 2
 
     def test_rejected_for_other_detectors(self, racy_trace_file):

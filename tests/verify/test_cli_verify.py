@@ -5,7 +5,6 @@ import pathlib
 
 import pytest
 
-from repro import cli as analyze_cli
 from repro.verify.cli import SCHEMA, main, run_verification
 
 EXPECTED_DIR = (pathlib.Path(__file__).resolve().parent.parent
@@ -117,21 +116,3 @@ class TestStatsJson:
         assert counters["verify_specs"] == 1
         assert counters["verify_specs_ok"] == 1
         assert counters["verify_method_pairs"] == 3
-
-
-class TestAnalyzeIntegration:
-    """The --verify-specs escape hatch on the main repro-analyze CLI."""
-
-    def test_verify_all_via_analyze(self, capsys):
-        assert analyze_cli.main(["--verify-specs"]) == 0
-        assert "dictionary: OK" in capsys.readouterr().out
-
-    def test_verify_one_kind_via_analyze(self, capsys):
-        assert analyze_cli.main(["--verify-specs", "set"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("set: OK")
-
-    def test_unknown_kind_via_analyze(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            analyze_cli.main(["--verify-specs", "bogus"])
-        assert exc.value.code == 2
