@@ -90,10 +90,8 @@ class AtomicityChecker:
     READ/WRITE events carry the conflicts.
     """
 
-    def __init__(self, mode: ConflictMode = ConflictMode.COMMUTATIVITY,
-                 include_sync: bool = True):
+    def __init__(self, mode: ConflictMode = ConflictMode.COMMUTATIVITY):
         self.mode = mode
-        self.include_sync = include_sync
         self._representations: Dict[ObjectId, AccessPointRepresentation] = {}
 
     def register_object(self, obj: ObjectId,
@@ -137,15 +135,12 @@ class AtomicityChecker:
             yield (("mem", event.location),
                    "w" if kind is EventKind.WRITE else "r")
         elif kind in (EventKind.ACQUIRE, EventKind.RELEASE):
-            if not self.include_sync:
-                return
             if (self.mode is ConflictMode.COMMUTATIVITY
                     and is_internal_lock(event.lock)):
                 return  # below the interface abstraction, as in RD2
             yield (("lock", event.lock), "sync")
         elif kind in (EventKind.FORK, EventKind.JOIN):
-            if self.include_sync:
-                yield (("thread", event.peer), "sync")
+            yield (("thread", event.peer), "sync")
 
     @staticmethod
     def _tokens_conflict(resource, token1, token2) -> bool:

@@ -67,8 +67,8 @@ class AtomicityAnalyzer(Analyzer):
     name = "atomicity"
 
     def __init__(self, mode: ConflictMode = ConflictMode.COMMUTATIVITY,
-                 include_sync: bool = True, keep_reports: bool = True):
-        self._conflicts = AtomicityChecker(mode, include_sync=include_sync)
+                 keep_reports: bool = True):
+        self._conflicts = AtomicityChecker(mode)
         self._keep_reports = keep_reports
         # Transactions by id (ids count up from 0) and the graph's edges,
         # both directions, as insertion-ordered dicts.

@@ -17,14 +17,10 @@ Verifying the bundled specs is a separate command, ``repro-verify-specs``
 specification kind; the commutativity detectors need at least one binding,
 the read/write detectors none.
 
-Observability sinks (see :mod:`repro.obs`):
-
-* ``--stats`` prints the per-phase/per-object/per-method-pair table to
-  **stderr** (stdout keeps carrying only the race report, so scripted
-  comparisons of the analysis output are unaffected),
-* ``--stats-json PATH`` writes the frozen JSON report schema,
-* ``--spans PATH`` appends coarse spans (load/stamp/fanout/merge/report)
-  as JSONL for offline flamegraph-style analysis.
+Observability has one output, ``--stats-json PATH``, the JSON report
+whose schema the Observability section of ``docs/paper_mapping.md``
+documents; ``--stats`` renders the same report as a table on **stderr**
+(stdout keeps carrying only the race report).
 
 Fault tolerance (see ``docs/robustness.md``): multi-worker rd2 runs are
 supervised, and a shard whose worker raises, dies or stays silent past
@@ -48,7 +44,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from .core.errors import ReproError
 from .core.races import group_races, tally
 from .core.serialize import load_trace
-from .obs import (NULL_REGISTRY, Registry, SpanStream, build_report,
+from .obs import (NULL_REGISTRY, Registry, build_report,
                   publish_detector_stats, render_table, save_report)
 from .specs import bundled_objects
 
@@ -82,6 +78,15 @@ def _fail(message: str, code: int) -> "SystemExit":
     raise SystemExit(code)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose own errors (an unknown flag, a bad choice, a flag
+    missing its value) are one ``repro-analyze: error:`` line, not a
+    usage dump."""
+
+    def error(self, message: str) -> "SystemExit":
+        _fail(message, EXIT_USAGE)
+
+
 def _parse_bindings(pairs: Sequence[str]) -> List[Tuple[str, str]]:
     registry = bundled_objects()
     bindings = []
@@ -97,8 +102,8 @@ def _parse_bindings(pairs: Sequence[str]) -> List[Tuple[str, str]]:
 
 
 def _parse_workers(raw: str) -> int:
-    """Validate ``--workers`` (kept a string so non-integers get our
-    one-line diagnostic instead of argparse's usage dump)."""
+    """Validate ``--workers`` (kept a string so a non-integer gets a
+    diagnostic naming the expected value)."""
     try:
         workers = int(raw)
     except ValueError:
@@ -283,11 +288,9 @@ def _analyze_follow(path: str, bindings, obs=NULL_REGISTRY,
         meta = dict(meta_base or {})
         meta["events"] = analyzer.events_processed
         meta["windows"] = analyzer.windows_completed
-        report = build_report(merged, meta=meta)
-        if predict_window:
-            report["predicted"] = [prediction.snapshot()
-                                   for prediction in analyzer.predicted]
-        save_report(report, stats_json)
+        predicted = analyzer.predicted if predict_window else None
+        save_report(build_report(merged, meta=meta, predicted=predicted),
+                    stats_json)
 
     def build(root) -> "StreamAnalyzer":
         analyzer = StreamAnalyzer(root=root, on_race=on_race,
@@ -384,7 +387,7 @@ def _analyze_atomicity(trace, bindings, obs=NULL_REGISTRY,
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro-analyze",
         description="Analyze a saved trace (JSONL) for commutativity "
                     "races, read/write races, or atomicity violations.",
@@ -454,9 +457,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--stats-json", metavar="PATH",
                         help="write the structured observability report "
                              "as JSON")
-    parser.add_argument("--spans", metavar="PATH",
-                        help="append coarse pipeline spans to PATH as JSONL "
-                             "(flamegraph-style offline analysis)")
     args = parser.parse_args(argv)
 
     if args.spec_report:
@@ -503,12 +503,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _fail("--window, --follow-timeout and --prune-interval require "
               "--follow", EXIT_USAGE)
 
-    want_obs = args.stats or args.stats_json or args.spans
-    stream = SpanStream(args.spans) if args.spans else None
+    want_obs = args.stats or args.stats_json
     # Offline analysis can afford exact attribution (sample every event);
     # the sampled default only matters for live runtime monitoring.
-    obs = (Registry(sample_interval=1, stream=stream) if want_obs
-           else NULL_REGISTRY)
+    obs = Registry(sample_interval=1) if want_obs else NULL_REGISTRY
 
     mode = "atomicity" if args.atomicity else args.detector
     meta_base = {"detector": mode, "workers": workers,
@@ -549,17 +547,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 code, faults = _analyze_memory(trace, args.detector, obs=obs)
     except KeyboardInterrupt:
         # The supervisor already tore its worker processes down on the
-        # way out (no orphans); the span stream is closed by the
-        # finally, so partial --spans output stays valid JSONL.
+        # way out (no orphans).
         print("repro-analyze: interrupted", file=sys.stderr)
         return EXIT_INTERRUPT
     except ReproError as exc:
         # A trace that parsed but that analysis cannot interpret (an
         # action the bound kind has no reading for) is an input problem.
         _fail(f"invalid trace file {args.trace!r}: {exc}", EXIT_DATA)
-    finally:
-        if stream is not None:
-            stream.close()
 
     if faults and faults.get("counts"):
         total = sum(faults["counts"].values())
@@ -570,12 +564,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if want_obs:
         report = build_report(obs, meta=dict(meta_base, events=events_total),
-                              faults=faults)
-        if predicted is not None:
-            # Frozen-schema extension, conditional like "faults": present
-            # only when --predict ran.
-            report["predicted"] = [prediction.snapshot()
-                                   for prediction in predicted]
+                              faults=faults, predicted=predicted)
         if args.stats_json:
             save_report(report, args.stats_json)
         if args.stats:

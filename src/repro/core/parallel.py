@@ -166,38 +166,30 @@ def _shard_job(index: int, payload: _ShardPayload):
 
 
 def _diagnose_unpicklable(payload: _ShardPayload,
-                          exc: Exception) -> Optional[MonitorError]:
-    """Explain a shard failure that is really a task-pickling failure.
+                          exc: Exception) -> MonitorError:
+    """Explain why a shard payload failed to pickle with ``exc``.
 
-    The supervisor asks before it replays in-process a payload that
-    would not pickle, and whenever a worker raises or dies.  If the
-    payload truly does not pickle, pinpoint the object (and which of its
-    parts) to blame and return a :class:`MonitorError` for the caller; if
-    it pickles fine, return None — the worker genuinely failed with
-    ``exc`` and the shard is replayed in-process.
+    The supervisor asks only when pickling the payload failed, so this
+    probes the payload's parts, object by object, to name the one to
+    blame, instead of pickling the whole payload again.
     """
-    try:
-        pickle.dumps(payload)
-    except Exception as probe:
-        objects = payload[-1]
-        for obj, representation, strategy, plan, packed_actions in objects:
-            for part, value in (("representation", representation),
-                                ("strategy", strategy),
-                                ("check plan", plan),
-                                ("stamped actions", packed_actions)):
-                try:
-                    pickle.dumps(value)
-                except Exception:
-                    return MonitorError(
-                        f"object {obj!r}: its {part} cannot be pickled for "
-                        f"shipment to worker processes "
-                        f"({type(probe).__name__}: {probe}); use workers<=1 "
-                        f"(inline sharding) or the sequential "
-                        f"CommutativityRaceDetector")
-        return MonitorError(
-            f"shard payload cannot be pickled for worker processes "
-            f"({type(probe).__name__}: {probe})")
-    return None
+    for obj, representation, strategy, plan, packed_actions in payload[-1]:
+        for part, value in (("representation", representation),
+                            ("strategy", strategy),
+                            ("check plan", plan),
+                            ("stamped actions", packed_actions)):
+            try:
+                pickle.dumps(value)
+            except Exception:
+                return MonitorError(
+                    f"object {obj!r}: its {part} cannot be pickled for "
+                    f"shipment to worker processes "
+                    f"({type(exc).__name__}: {exc}); use workers<=1 "
+                    f"(inline sharding) or the sequential "
+                    f"CommutativityRaceDetector")
+    return MonitorError(
+        f"shard payload cannot be pickled for worker processes "
+        f"({type(exc).__name__}: {exc})")
 
 
 class ShardedDetector:

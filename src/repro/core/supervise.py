@@ -207,10 +207,11 @@ class ShardSupervisor:
         (a fresh private :class:`FaultLog` is created when none is given).
     diagnose:
         Optional ``(index, exc) -> Optional[Exception]`` consulted when a
-        payload fails to pickle and when a worker raises or dies;
-        returning an exception aborts the run by raising it (used to turn
-        pickling errors into a :class:`~repro.core.errors.MonitorError`
-        naming the object).
+        payload fails to pickle; returning an exception aborts the run by
+        raising it (used to turn pickling errors into a
+        :class:`~repro.core.errors.MonitorError` naming the object).  A
+        child's failure is never a pickling failure — its payload pickled
+        before it started — so it is replayed without asking.
     """
 
     def __init__(self, worker: Callable,
@@ -290,7 +291,10 @@ class ShardSupervisor:
                     # The payload itself will not pickle: diagnose
                     # (usually a precise MonitorError naming the object)
                     # or replay it in-process.
-                    self._raise_diagnosed(index, exc)
+                    diagnosed = (self._diagnose(index, exc)
+                                 if self._diagnose is not None else None)
+                    if diagnosed is not None:
+                        raise diagnosed from exc
                     failures.append((index, "task-unpicklable",
                                      f"{type(exc).__name__}: {exc}"))
                     continue
@@ -323,8 +327,6 @@ class ShardSupervisor:
                     break
                 else:
                     _, kind, detail = answer
-                    if kind == "worker-raised":
-                        self._raise_diagnosed(index, RuntimeError(detail))
                     failures.append((index, kind, detail))
         finally:
             for _, proc, conn in children:
@@ -343,13 +345,6 @@ class ShardSupervisor:
         closed the pipe unanswered."""
         remaining = max(0.0, deadline - time.monotonic())
         return conn.recv() if conn.poll(remaining) else None
-
-    def _raise_diagnosed(self, index: int, exc: Exception) -> None:
-        """Raise the caller's diagnosis of ``exc``, if it has one."""
-        diagnosed = (self._diagnose(index, exc)
-                     if self._diagnose is not None else None)
-        if diagnosed is not None:
-            raise diagnosed from exc
 
     # -- accounting --------------------------------------------------------
 

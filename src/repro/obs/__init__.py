@@ -1,4 +1,4 @@
-"""Observability for the detector pipeline: metrics, spans, profiling sinks.
+"""Observability for the detector pipeline: metrics and report sinks.
 
 The paper's evaluation (Table 2) attributes detector cost to its phases —
 happens-before stamping, per-object conflict checks, report merging — and
@@ -9,8 +9,6 @@ one-off benchmark script:
 * :class:`~repro.obs.registry.Registry` — counters, gauges, labeled
   breakdown counters and bucketed latency timers, with a disabled mode
   that the instrumented hot paths reduce to a single ``None`` check.
-* :class:`~repro.obs.spans.SpanStream` — a JSONL stream of completed
-  spans for offline flamegraph-style analysis.
 * :mod:`~repro.obs.report` — the frozen ``--stats-json`` report schema,
   the human ``--stats`` table, and the timing scrubber the golden
   snapshot tests use.
@@ -34,14 +32,12 @@ from .registry import (DEFAULT_SAMPLE_INTERVAL, NULL_REGISTRY, Registry,
                        Timer)
 from .report import (build_report, publish_detector_stats, render_table,
                      save_report, scrub_timings, write_report)
-from .spans import SpanStream
 
 __all__ = [
     "DEFAULT_SAMPLE_INTERVAL",
     "NULL_REGISTRY",
     "Registry",
     "Timer",
-    "SpanStream",
     "build_report",
     "publish_detector_stats",
     "render_table",

@@ -114,11 +114,8 @@ class _Span:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        duration = time.perf_counter_ns() - self._start
-        self._registry.timer(self._name).record(duration)
-        stream = self._registry.stream
-        if stream is not None:
-            stream.emit(self._name, duration)
+        self._registry.timer(self._name).record(
+            time.perf_counter_ns() - self._start)
 
 
 class _NullSpan:
@@ -149,20 +146,15 @@ class Registry:
         Period of the sampled per-event instrumentation in the sequential
         hot loops (timers and the per-pair check breakdown).  Recorded in
         the snapshot so scaled estimates stay interpretable.
-    stream:
-        Optional :class:`~repro.obs.spans.SpanStream`; completed
-        :meth:`span` contexts are appended to it as JSONL records.
     """
 
     def __init__(self, enabled: bool = True,
-                 sample_interval: int = DEFAULT_SAMPLE_INTERVAL,
-                 stream=None):
+                 sample_interval: int = DEFAULT_SAMPLE_INTERVAL):
         if sample_interval < 1:
             raise ValueError(
                 f"sample_interval must be >= 1, got {sample_interval}")
         self.enabled = enabled
         self.sample_interval = sample_interval
-        self.stream = stream
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, float] = {}
         self._breakdowns: Dict[str, Dict[Hashable, int]] = {}
@@ -271,13 +263,6 @@ class Registry:
             "timers": {name: timer.snapshot()
                        for name, timer in sorted(self._timers.items())},
         }
-
-    def __getstate__(self):
-        # The span stream (an open file) stays with the owning process;
-        # worker registries travel as pure aggregates.
-        state = self.__dict__.copy()
-        state["stream"] = None
-        return state
 
     def __repr__(self) -> str:
         if not self.enabled:

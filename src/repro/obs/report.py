@@ -1,18 +1,13 @@
-"""Report sinks: the ``--stats-json`` schema and the human ``--stats`` table.
+"""Report sinks: the ``--stats-json`` document and the human ``--stats`` table.
 
-The JSON report is a versioned envelope around one merged registry
-snapshot::
-
-    {"repro-stats": 1,
-     "meta": {"detector": "rd2", "workers": 4, "trace": {...}},
-     "stats": {<Registry.snapshot()>}}
-
-The schema is frozen by golden snapshots under ``tests/data/expected/``
-(regenerated by ``tests/data/generate_golden.py``): structural changes
-must show up as reviewed golden diffs.  Timing values are nondeterministic,
-so the goldens store reports passed through :func:`scrub_timings`, which
-zeroes durations while keeping every key — the *shape* of the timers is
-frozen, their measurements are not.
+The report's schema — its envelope, the ``meta`` keys of each mode, the
+``stats`` sections, and the conditional ``faults`` and ``predicted``
+sections — is documented in one place, the Observability section of
+``docs/paper_mapping.md``.  It is frozen by golden snapshots under
+``tests/data/expected/`` (regenerated by ``tests/data/generate_golden.py``):
+structural changes must show up as reviewed golden diffs.  Timing values
+are nondeterministic, so the goldens store reports passed through
+:func:`scrub_timings`, which zeroes durations while keeping every key.
 """
 
 from __future__ import annotations
@@ -21,7 +16,7 @@ import copy
 import json
 import os
 import stat
-from typing import IO, Any, Dict, Optional
+from typing import IO, Any, Dict, Optional, Sequence
 
 from .registry import Registry
 
@@ -38,12 +33,16 @@ _TIMING_FIELDS = ("total_ns", "min_ns", "max_ns")
 
 def build_report(registry: Registry,
                  meta: Optional[Dict[str, Any]] = None,
-                 faults: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+                 faults: Optional[Dict[str, Any]] = None,
+                 predicted: Optional[Sequence[Any]] = None
+                 ) -> Dict[str, Any]:
     """The versioned ``--stats-json`` document for one analysis run.
 
     ``faults`` is a :meth:`~repro.core.faults.FaultLog.snapshot` — present
     only when the run actually tolerated failures, so fault-free reports
-    keep the exact envelope the golden snapshots freeze.
+    keep the exact envelope the golden snapshots freeze.  ``predicted``
+    is the run's list of predicted races, or None when ``--predict`` was
+    off: present, possibly empty, exactly when prediction ran.
     """
     report = {
         REPORT_KEY: REPORT_VERSION,
@@ -52,6 +51,9 @@ def build_report(registry: Registry,
     }
     if faults:
         report["faults"] = faults
+    if predicted is not None:
+        report["predicted"] = [prediction.snapshot()
+                               for prediction in predicted]
     return report
 
 

@@ -9,9 +9,9 @@ Daemon mode binds the ingest and control sockets and serves until a
 
 A tenant that disconnects reconnects and re-sends its trace from event
 zero; the daemon analyzes it again from the start.  Values the daemon
-cannot serve (``--window 0``, a negative ``--prune-interval``) are
-refused with one ``repro-serve:`` line and exit 2 before any socket is
-bound.
+cannot serve (``--window 0``, a negative ``--prune-interval``), like an
+unknown flag, are refused with one ``repro-serve: error:`` line and exit
+2 before any socket is bound.
 
 Chaos mode hosts a throwaway daemon and drives the seeded abuse
 schedule from :mod:`repro.service.chaos`, exiting non-zero unless every
@@ -36,8 +36,17 @@ EXIT_USAGE = 2
 EXIT_INTERRUPT = 130
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose errors are one ``repro-serve: error:`` line, not a
+    usage dump."""
+
+    def error(self, message: str) -> "SystemExit":
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro-serve",
         description="Multi-tenant commutativity race detection daemon.")
     parser.add_argument("--socket", metavar="PATH",
@@ -123,8 +132,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _run_chaos(args)
         return _serve(args)
     except ValueError as exc:
-        print(f"repro-serve: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        parser.error(str(exc))
     except KeyboardInterrupt:
         return EXIT_INTERRUPT
 

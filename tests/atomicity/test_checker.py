@@ -173,19 +173,6 @@ class TestSynchronization:
                  .build())
         assert dict_checker().analyze(trace).serializable
 
-    def test_sync_can_be_excluded(self):
-        trace = (TraceBuilder(root=0)
-                 .fork(0, 1).fork(0, 2)
-                 .begin(1)
-                 .acquire(1, "L").release(1, "L")
-                 .acquire(2, "L").release(2, "L")
-                 .acquire(1, "L").release(1, "L")
-                 .commit(1)
-                 .build())
-        lenient = AtomicityChecker(ConflictMode.COMMUTATIVITY,
-                                   include_sync=False)
-        assert lenient.analyze(trace).serializable
-
 
 class TestRuntimeIntegration:
     def test_atomic_context_manager_records_boundaries(self):

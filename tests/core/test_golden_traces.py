@@ -68,17 +68,11 @@ def test_sharded_detector_matches_snapshot(name, workers):
 # -- loop and clock axes: same frozen snapshots, never regenerated ----------
 #
 # The tests above pin the default engines.  These pin the variations that
-# survive inside them against the *same* disk snapshots.  Their names date
-# from the configuration knobs they used to exercise:
-#
-# * "dispatch" is the interpreted loop — the SCAN loop, whose reports may
-#   reorder within an event, so it is compared as a multiset; "compiled"
-#   is the ENUMERATE loop over a check plan.
-# * "plain clock" inflates every point clock to its bare vector clock after
-#   each event, which is exactly what a full-vector-clock detector stores.
-# * a "batch" is the W events between two point-clock rewrites: inflating
-#   everything ("plain") or deflating at a maintenance window ("epochs")
-#   must be invisible at any cadence.
+# survive inside them against the *same* disk snapshots.  The SCAN loop's
+# reports may reorder within an event, so it is compared as a multiset.
+# A "batch" is the W events between two point-clock rewrites: inflating
+# everything ("plain") or deflating at a maintenance window ("epochs")
+# must be invisible at any cadence.
 
 def register(detector, expected, strategy=None):
     registry = bundled_objects()
@@ -102,7 +96,7 @@ def assert_matches(races, expected, strategy):
 
 
 LOOPS = pytest.mark.parametrize("compiled", [False, True],
-                                ids=["dispatch", "compiled"])
+                                ids=["scan", "enumerate"])
 
 
 def loop_strategy(compiled):
@@ -133,7 +127,7 @@ def test_sharded_strategy_axis_matches_snapshot(name, compiled):
 
 @LOOPS
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
-def test_plain_clock_axis_matches_snapshot(name, compiled):
+def test_full_clock_axis_matches_snapshot(name, compiled):
     trace, expected = load_case(name)
     strategy = loop_strategy(compiled)
     detector = register(CommutativityRaceDetector(root=trace.root),

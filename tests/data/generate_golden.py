@@ -21,8 +21,9 @@ observability report (``expected/<name>.stats.json``) by invoking the
 real CLI and scrubbing the non-deterministic timing fields — counters,
 breakdown attribution, and the report's key structure are deterministic
 because the CLI analyzes offline traces at ``sample_interval=1``.
-``multi_object_mixed`` additionally gets a ``--workers 2`` variant so the
-shard-merged attribution path is frozen too.
+``multi_object_mixed`` is frozen once more under each other engine
+(``expected/multi_object_mixed.<engine>.stats.json``, see
+``ENGINE_STATS``), so every mode's report schema is frozen too.
 """
 
 import contextlib
@@ -174,13 +175,23 @@ def verify_golden(out_path):
         json.dump(document, out, indent=2, sort_keys=True)
         out.write("\n")
 
-#: scenarios that also freeze a shard-merged (--workers 2) stats report
-SHARDED_STATS = ("multi_object_mixed",)
+#: the scenario whose report is also frozen under every other engine
+ENGINE_SCENARIO = "multi_object_mixed"
+#: engine -> the repro-analyze flags that select it
+ENGINE_STATS = {
+    "workers2": ["--workers", "2"],
+    "predict": ["--predict"],
+    "follow": ["--follow"],
+    "direct": ["--detector", "direct"],
+    "fasttrack": ["--detector", "fasttrack"],
+    "eraser": ["--detector", "eraser"],
+    "atomicity": ["--atomicity"],
+}
 
 
-def stats_golden(trace_path, bindings, out_path, workers=1):
+def stats_golden(trace_path, bindings, out_path, flags=()):
     """Freeze the CLI's ``--stats-json`` report for one scenario."""
-    argv = [str(trace_path), "--workers", str(workers)]
+    argv = [str(trace_path), *flags]
     for obj, kind in bindings.items():
         argv += ["--object", f"{obj}={kind}"]
     with tempfile.NamedTemporaryFile("r", suffix=".json") as tmp:
@@ -215,10 +226,11 @@ def main():
             out.write("\n")
         stats_golden(DATA_DIR / f"{name}.jsonl", bindings,
                      EXPECTED_DIR / f"{name}.stats.json")
-        if name in SHARDED_STATS:
-            stats_golden(DATA_DIR / f"{name}.jsonl", bindings,
-                         EXPECTED_DIR / f"{name}.workers2.stats.json",
-                         workers=2)
+        if name == ENGINE_SCENARIO:
+            for engine, flags in ENGINE_STATS.items():
+                stats_golden(DATA_DIR / f"{name}.jsonl", bindings,
+                             EXPECTED_DIR / f"{name}.{engine}.stats.json",
+                             flags)
         print(f"{name}: {len(trace)} events, "
               f"{len(detector.races)} race(s)")
     verify_golden(EXPECTED_DIR / VERIFY_GOLDEN)

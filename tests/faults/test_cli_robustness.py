@@ -2,12 +2,12 @@
 
 Every bad invocation must produce exactly one ``repro-analyze: error:``
 line on stderr and the documented exit code — never an argparse usage
-dump or a traceback — and Ctrl-C must exit 130 leaving valid partial
-observability output and no orphan worker processes.
+dump or a traceback — and Ctrl-C must exit 130 leaving no orphan worker
+processes.
 """
 
-import json
 import multiprocessing
+import pathlib
 
 import pytest
 
@@ -79,12 +79,12 @@ class TestRobustnessFlagValidation:
                                    *workers])
         assert "--shard-timeout requires --workers" in err
 
-    def test_shard_retries_is_a_usage_error(self):
+    def test_shard_retries_is_a_usage_error(self, capsys):
         # A failed shard is replayed in-process at once, so there is no
         # retry count to set: the flag is unknown, not silently ignored.
-        with pytest.raises(SystemExit) as excinfo:
-            main([TRACE, *OBJECTS, "--workers", "2", "--shard-retries", "1"])
-        assert excinfo.value.code == EXIT_USAGE
+        err = usage_error(capsys, [TRACE, *OBJECTS, "--workers", "2",
+                                   "--shard-retries", "1"])
+        assert "--shard-retries" in err
 
     def test_bad_object_binding_is_usage_error(self, capsys):
         err = usage_error(capsys, [TRACE, "--object", "nokind"])
@@ -96,6 +96,24 @@ class TestRobustnessFlagValidation:
         with pytest.raises(SystemExit) as excinfo:
             main([str(tmp_path / "missing.jsonl"), *OBJECTS])
         assert excinfo.value.code == EXIT_DATA
+
+
+class TestParserErrors:
+    """argparse's own errors — an unknown flag, a bad choice, a flag
+    without its value — are one line as well, and write nothing."""
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["--bogus"], "unrecognized arguments: --bogus"),
+        (["--detector", "nope"], "invalid choice: 'nope'"),
+        (["--object"], "--object: expected one argument"),
+        (["--spans", "x.jsonl"], "unrecognized arguments: --spans"),
+    ], ids=["unknown-flag", "bad-choice", "missing-value", "spans"])
+    def test_one_line(self, capsys, tmp_path, monkeypatch, argv, needle):
+        monkeypatch.chdir(tmp_path)
+        trace = str(pathlib.Path(__file__).parents[2] / TRACE)
+        err = usage_error(capsys, [trace, *OBJECTS, *argv])
+        assert needle in err
+        assert not any(tmp_path.iterdir())
 
 
 class TestUninterpretableActions:
@@ -155,20 +173,12 @@ def interrupt(*args):
     raise KeyboardInterrupt
 
 
-def test_keyboard_interrupt_exits_130_with_valid_spans(monkeypatch,
-                                                       tmp_path, capsys):
+def test_keyboard_interrupt_exits_130_without_orphans(monkeypatch,
+                                                      capsys):
     """Ctrl-C while awaiting a shard: exit 130, worker processes torn
-    down (no orphans), and the partial --spans file is still line-valid
-    JSONL."""
+    down (no orphans)."""
     monkeypatch.setattr(ShardSupervisor, "_await", staticmethod(interrupt))
-    spans = tmp_path / "spans.jsonl"
-    code = main([TRACE, *OBJECTS, "--workers", "2",
-                 "--spans", str(spans)])
+    code = main([TRACE, *OBJECTS, "--workers", "2"])
     assert code == EXIT_INTERRUPT
     assert "interrupted" in capsys.readouterr().err
     assert not multiprocessing.active_children()
-    lines = spans.read_text().strip().splitlines()
-    assert lines  # the load/stamp spans completed before the interrupt
-    for line in lines:
-        record = json.loads(line)  # every line parses: valid JSONL
-        assert {"name", "dur_ns"} <= record.keys()

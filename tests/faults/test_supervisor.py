@@ -115,12 +115,20 @@ def test_shared_fault_log_and_private_default(inject):
     assert isinstance(supervisor().faults, FaultLog)
 
 
-def test_diagnose_turns_worker_error_into_callers_exception(inject):
+def test_raising_worker_is_replayed_without_diagnose(inject):
+    # The payload pickled before its child started, so a child's failure
+    # is never a pickling failure: nothing to diagnose, just replay.
     inject(FaultPlan.build({0: FaultSpec("raise")}))
-    sup = supervisor(
-        diagnose=lambda index, exc: MonitorError(f"shard {index}"))
-    with pytest.raises(MonitorError, match="shard 0"):
-        sup.run(["a", "b"])
+    asked = []
+
+    def diagnose(index, exc):
+        asked.append(index)
+        return MonitorError(f"shard {index}")
+
+    sup = supervisor(diagnose=diagnose)
+    assert sup.run(["a", "b"]) == EXPECT
+    assert asked == []
+    assert_one_fallback(sup.faults, "worker-raised", 0)
     assert not multiprocessing.active_children()
 
 

@@ -1,13 +1,12 @@
-"""Unit tests for the metrics registry, spans, and report sinks."""
+"""Unit tests for the metrics registry and report sinks."""
 
 import io
 import json
-import pickle
 
 import pytest
 
 from repro.obs import (DEFAULT_SAMPLE_INTERVAL, NULL_REGISTRY, Registry,
-                       SpanStream, Timer, build_report, publish_detector_stats,
+                       Timer, build_report, publish_detector_stats,
                        render_table, scrub_timings, write_report)
 from repro.obs.report import REPORT_KEY, REPORT_VERSION
 
@@ -109,14 +108,6 @@ class TestRegistry:
     def test_default_sample_interval(self):
         assert Registry().sample_interval == DEFAULT_SAMPLE_INTERVAL
 
-    def test_pickle_drops_stream(self):
-        stream = SpanStream(io.StringIO())
-        reg = Registry(stream=stream)
-        reg.add("n")
-        clone = pickle.loads(pickle.dumps(reg))
-        assert clone.stream is None
-        assert clone.snapshot()["counters"] == {"n": 1}
-
 
 class TestAbsorb:
     def test_absorb_sums_everything(self):
@@ -168,33 +159,6 @@ class TestDisabled:
     def test_disabled_span_is_shared_noop(self):
         reg = Registry(enabled=False)
         assert reg.span("a") is reg.span("b")
-
-
-class TestSpanStream:
-    def test_emits_jsonl_records(self):
-        sink = io.StringIO()
-        stream = SpanStream(sink)
-        stream.emit("stamp", 1234)
-        stream.emit("check", 5)
-        lines = [json.loads(line) for line in
-                 sink.getvalue().strip().splitlines()]
-        assert [rec["name"] for rec in lines] == ["stamp", "check"]
-        assert lines[0]["dur_ns"] == 1234
-        assert all(rec["pid"] > 0 and rec["ts_ns"] > 0 for rec in lines)
-
-    def test_path_sink_and_context_manager(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        with SpanStream(str(path)) as stream:
-            stream.emit("load", 7)
-        record = json.loads(path.read_text().strip())
-        assert record["name"] == "load"
-
-    def test_registry_span_feeds_the_stream(self):
-        sink = io.StringIO()
-        reg = Registry(stream=SpanStream(sink))
-        with reg.span("merge"):
-            pass
-        assert json.loads(sink.getvalue())["name"] == "merge"
 
 
 class TestReport:

@@ -6,7 +6,8 @@ Each golden under ``tests/data/expected/*.stats.json`` was produced by
 tests replay the same invocation and compare the scrubbed reports, so
 any drift in the report key structure, counter totals, or breakdown
 attribution — intended or not — shows up as a reviewable diff against a
-regenerated golden.
+regenerated golden.  ``multi_object_mixed`` is frozen under every engine
+(``<name>.<engine>.stats.json``), so each mode's report is pinned too.
 """
 
 import contextlib
@@ -19,12 +20,15 @@ import pytest
 from repro import cli
 from repro.obs import scrub_timings
 
+from tests.data.generate_golden import ENGINE_SCENARIO, ENGINE_STATS
+
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 EXPECTED_DIR = DATA_DIR / "expected"
 
+# <name>.stats.json only: <name>.<engine>.stats.json are per-engine.
 SCENARIOS = sorted(path.name[:-len(".stats.json")]
                    for path in EXPECTED_DIR.glob("*.stats.json")
-                   if ".workers" not in path.name)
+                   if path.name.count(".") == 2)
 
 
 def golden_bindings(name):
@@ -33,9 +37,9 @@ def golden_bindings(name):
     return expected["bindings"]
 
 
-def run_cli_stats(name, tmp_path, workers=1):
+def run_cli_stats(name, tmp_path, flags=()):
     out_path = tmp_path / "stats.json"
-    argv = [str(DATA_DIR / f"{name}.jsonl"), "--workers", str(workers)]
+    argv = [str(DATA_DIR / f"{name}.jsonl"), *flags]
     for obj, kind in golden_bindings(name).items():
         argv += ["--object", f"{obj}={kind}"]
     argv += ["--stats-json", str(out_path)]
@@ -59,9 +63,19 @@ def test_stats_report_matches_golden(name, tmp_path):
 
 
 def test_sharded_stats_report_matches_golden(tmp_path):
-    _, report = run_cli_stats("multi_object_mixed", tmp_path, workers=2)
+    _, report = run_cli_stats("multi_object_mixed", tmp_path,
+                              ENGINE_STATS["workers2"])
     golden = json.loads(
         (EXPECTED_DIR / "multi_object_mixed.workers2.stats.json").read_text())
+    assert scrub_timings(report) == golden
+
+
+# workers2 is checked by the test above.
+@pytest.mark.parametrize("engine", sorted(set(ENGINE_STATS) - {"workers2"}))
+def test_engine_stats_report_matches_golden(engine, tmp_path):
+    _, report = run_cli_stats(ENGINE_SCENARIO, tmp_path, ENGINE_STATS[engine])
+    golden = json.loads((EXPECTED_DIR / f"{ENGINE_SCENARIO}.{engine}"
+                         f".stats.json").read_text())
     assert scrub_timings(report) == golden
 
 

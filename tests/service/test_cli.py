@@ -1,4 +1,5 @@
-"""``repro-serve`` refuses values it cannot serve before it binds."""
+"""``repro-serve`` refuses values it cannot serve before it binds, with
+one ``repro-serve: error:`` line."""
 
 import os
 import subprocess
@@ -16,6 +17,9 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     ["--prune-interval", "-1"],
     ["--checkpoint-dir", "D"],
     ["--checkpoint-interval", "5"],
+    ["--bogus"],
+    ["--analyzer-policy", "nope"],
+    ["--queue-size"],
 ], ids=lambda argv: argv[0])
 def test_unservable_values_exit_2_before_binding(tmp_path, argv):
     socket_path = tmp_path / "ingest.sock"
@@ -26,6 +30,7 @@ def test_unservable_values_exit_2_before_binding(tmp_path, argv):
         env={**os.environ, "PYTHONPATH": SRC}, cwd=tmp_path,
         capture_output=True, text=True, timeout=60)
     assert completed.returncode == 2, completed.stderr
-    assert "repro-serve: " in completed.stderr
-    assert "Traceback" not in completed.stderr
+    err = completed.stderr.strip()
+    assert err.startswith("repro-serve: error: ")
+    assert "\n" not in err, f"expected one line, got: {err!r}"
     assert not socket_path.exists()

@@ -456,18 +456,6 @@ class TestObservabilityFlags:
         assert json.loads(received[0])["repro-stats"] == 1
         assert not (tmp_path / "stats.fifo.tmp").exists()
 
-    def test_spans_stream_is_jsonl(self, racy_trace_file, tmp_path, capsys):
-        spans_path = tmp_path / "spans.jsonl"
-        main([racy_trace_file, "--object", "o=dictionary",
-              "--spans", str(spans_path)])
-        capsys.readouterr()
-        records = [json.loads(line)
-                   for line in spans_path.read_text().splitlines()]
-        names = [record["name"] for record in records]
-        assert "load" in names
-        assert "report" in names
-        assert all(record["dur_ns"] >= 0 for record in records)
-
     def test_without_flags_no_stats_output(self, racy_trace_file, capsys):
         main([racy_trace_file, "--object", "o=dictionary"])
         assert capsys.readouterr().err == ""
