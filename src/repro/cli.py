@@ -156,17 +156,18 @@ def _parse_follow_window(args) -> Optional[int]:
     return window
 
 
-def _parse_follow_timeout(args) -> Optional[float]:
-    """Validate ``--follow-timeout`` (None when the flag was not given)."""
-    if args.follow_timeout is None:
+def _parse_timeout(flag: str, value: Optional[str]) -> Optional[float]:
+    """A timeout flag in seconds, or None when it was not given."""
+    if value is None:
         return None
     try:
-        timeout = float(args.follow_timeout)
+        timeout = float(value)
     except ValueError:
-        _fail(f"--follow-timeout expects a number of seconds, got "
-              f"{args.follow_timeout!r}", EXIT_USAGE)
-    if timeout <= 0:
-        _fail(f"--follow-timeout must be > 0, got {timeout:g}", EXIT_USAGE)
+        _fail(f"{flag} expects a number of seconds, got {value!r}",
+              EXIT_USAGE)
+    if not math.isfinite(timeout) or timeout <= 0:
+        _fail(f"{flag} must be a finite number > 0, got {timeout:g}",
+              EXIT_USAGE)
     return timeout
 
 
@@ -472,7 +473,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _fail("a trace file is required (or use --spec-report)", EXIT_USAGE)
 
     workers = _parse_workers(args.workers)
-    shard_timeout = _parse_shard_timeout(args)
+    shard_timeout = _parse_timeout("--shard-timeout", args.shard_timeout)
     sharded = workers > 1
     if ((sharded or shard_timeout is not None)
             and (args.detector != "rd2" or args.atomicity)):
@@ -488,7 +489,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if predict_window and (args.detector != "rd2" or args.atomicity):
         _fail("--predict applies only to the rd2 detector", EXIT_USAGE)
     window = _parse_follow_window(args)
-    follow_timeout = _parse_follow_timeout(args)
+    follow_timeout = _parse_timeout("--follow-timeout", args.follow_timeout)
     if args.follow:
         if args.detector != "rd2" or args.atomicity:
             _fail("--follow applies only to the rd2 detector", EXIT_USAGE)
@@ -570,21 +571,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.stats:
             print(render_table(report), file=sys.stderr)
     return code
-
-
-def _parse_shard_timeout(args) -> Optional[float]:
-    """``--shard-timeout`` in seconds, or None when it was not given."""
-    if args.shard_timeout is None:
-        return None
-    try:
-        timeout = float(args.shard_timeout)
-    except ValueError:
-        _fail(f"--shard-timeout expects a number of seconds, got "
-              f"{args.shard_timeout!r}", EXIT_USAGE)
-    if not math.isfinite(timeout) or timeout <= 0:
-        _fail(f"--shard-timeout must be a finite number > 0, got "
-              f"{timeout:g}", EXIT_USAGE)
-    return timeout
 
 
 if __name__ == "__main__":

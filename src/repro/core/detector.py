@@ -45,12 +45,11 @@ accumulated clock the pair certifies (see
 the phase-2 join are one integer compare each.  Only a *concurrent*
 cross-thread touch — genuine contention, where no single-component
 certificate exists — inflates the point to a bare vector clock, and the
-next ordered touch (or a maintenance window, see
-:meth:`CommutativityRaceDetector.deflate_point_clocks`) deflates it
-back.  Unlike FastTrack's write-epoch (which forgets racy history and
-only guarantees the same *first* race per variable), epochs carry the very
-clock a full-vector-clock detector would store, so race reports are the
-same byte for byte.
+next ordered touch returns it to an epoch.  Unlike FastTrack's
+write-epoch (which forgets racy history and only guarantees the same
+*first* race per variable), epochs carry the very clock a
+full-vector-clock detector would store, so race reports are the same
+byte for byte.
 """
 
 from __future__ import annotations
@@ -130,14 +129,10 @@ class DetectorStats:
     conflict_checks: int = 0
     races: int = 0
     #: points inflated to a bare vector clock by a
-    #: concurrent cross-thread touch (a point can promote again after a
-    #: deflation, so this counts inflation *events*, not points)
+    #: concurrent cross-thread touch (a point can promote again after an
+    #: ordered touch returned it to an epoch, so this counts inflation
+    #: *events*, not points)
     epoch_promotions: int = 0
-    #: inflated points re-certified back to epochs at
-    #: maintenance windows (:meth:`~CommutativityRaceDetector.
-    #: deflate_point_clocks`; ordered-touch re-deflations on the hot path
-    #: are not counted — they are the representation's normal steady state)
-    epoch_deflations: int = 0
     #: active points reclaimed by :meth:`~CommutativityRaceDetector.
     #: prune_ordered_points` over the detector's lifetime
     points_pruned: int = 0
@@ -425,53 +420,6 @@ class CommutativityRaceDetector:
         return {obj: (len(state.active), len(state.interned))
                 for obj, state in self._objects.items()}
 
-    def deflate_point_clocks(self) -> int:
-        """Re-certify inflated points back to epochs where provably sound.
-
-        The coverage certificate: for a point clock ``V``, if every live
-        thread's clock covers ``V`` on all components except (at most)
-        one ``t``, then for any future event clock ``C`` — which dominates
-        some live thread's current clock through fork inheritance and
-        monotonicity — ``V ⊑ C ⟺ V[t] ≤ C[t]``.  The point can then carry
-        the epoch ``(t, V[t], V)`` instead of the bare clock: same stored
-        clock, same verdicts, same reports, but O(1) comparisons again
-        (``t`` may even be a dead thread's component — the certificate
-        only needs the live clocks to cover the rest).
-
-        A point covered on *every* component deflates on its first
-        component; pruning would reclaim it entirely, but deflation is
-        cheaper than a prune cycle and keeps the point reportable.
-        Points with two or more uncovered components stay inflated —
-        still-racy state is exactly where the full clock earns its keep.
-
-        Meant for maintenance windows (:class:`~repro.core.stream.
-        StreamAnalyzer` calls it every window); returns the number of
-        points deflated.
-        """
-        live_clocks = self._hb.live_clocks()
-        if not live_clocks:
-            return 0
-        deflated = 0
-        for state in self._objects.values():
-            point_clock = state.point_clock
-            for pt, prior in point_clock.items():
-                if type(prior) is _PointEpoch:
-                    continue
-                uncovered = prior.uncovered_components(live_clocks)
-                if len(uncovered) > 1:
-                    continue
-                if uncovered:
-                    tid = uncovered[0]
-                else:
-                    entries = list(prior.items())
-                    if not entries:
-                        continue  # bottom clock: nothing to certify
-                    tid = entries[0][0]
-                point_clock[pt] = _PointEpoch(tid, prior[tid], prior)
-                deflated += 1
-        self.stats.epoch_deflations += deflated
-        return deflated
-
     def registered_objects(self):
         return self._objects.keys()
 
@@ -631,7 +579,7 @@ class CommutativityRaceDetector:
                     point_clock[pt] = prior.clock.join(clock)
             elif prior.leq(clock):
                 # The inflated clock is dominated again: this event's
-                # clock subsumes it, so the point deflates back.
+                # clock subsumes it, so the point is an epoch again.
                 point_clock[pt] = _PointEpoch(tid, clock[tid], clock)
             else:
                 point_clock[pt] = prior.join(clock)

@@ -101,11 +101,10 @@ class HappensBeforeTracker:
     def live_clocks(self) -> List[VectorClock]:
         """Frozen ``T(τ)`` snapshots for every live thread.
 
-        The certificates the detector's maintenance passes compare point
-        clocks against: any future event's clock dominates one of these
-        (fork inheritance plus per-thread monotonicity), so a point-clock
-        property that holds against all of them holds against every
-        future stamp.  Used by active-point pruning and epoch deflation.
+        What active-point pruning compares point clocks against: any
+        future event's clock dominates one of these (fork inheritance
+        plus per-thread monotonicity), so a point clock that all of them
+        cover is covered by every future stamp.
         """
         return [self.clock_of(tid) for tid in self.live_threads()]
 

@@ -38,9 +38,8 @@ clock (shared, never copied) instead of forgetting it, which keeps race
 reports byte-identical to a full-vector-clock detector.  A point only
 *inflates* to a bare vector clock on genuine contention (a concurrent
 cross-thread touch, where no single-component certificate exists), and
-deflates back to an epoch the moment an ordered touch — or a maintenance
-window, see :meth:`~repro.core.detector.CommutativityRaceDetector.
-deflate_point_clocks` — re-establishes one.
+returns to an epoch on its next ordered touch, whose event clock
+certifies itself.
 
 Interning
 ---------
@@ -129,32 +128,23 @@ def compile_check_plan(
 class _PointEpoch(NamedTuple):
     """``c@t`` plus the exact clock it certifies — a point's epoch state.
 
-    ``clock`` is the point's full accumulated vector clock ``V`` (shared
-    with whatever phase 2 just stored or joined, never copied) and
-    ``(tid, stamp)`` is a dominance certificate: for any event clock ``C``
-    stamped after this epoch was stored, ``V ⊑ C ⟺ stamp ≤ C[tid]``.
+    Phase 2 stores ``(tid, clock[tid], clock)`` for the event clock
+    ``clock`` of an ordered touch by thread ``tid``: ``clock`` is the
+    point's full accumulated vector clock ``V`` (shared, never copied)
+    and ``(tid, stamp)`` certifies it, ``V ⊑ C ⟺ stamp ≤ C[tid]`` for
+    any later event clock ``C``.  A thread's component advances only on
+    its own events, so dominance at ``tid`` pulls the whole event into
+    ``C``'s causal past.
 
-    Two certificate sources exist.  *Event-clock epochs* (phase 2): ``V``
-    is itself an event clock of thread ``tid`` with ``stamp = V[tid]`` —
-    a thread's component advances only on its own events, so dominance at
-    ``tid`` pulls the whole event into ``C``'s causal past.  *Coverage
-    epochs* (maintenance deflation): every live thread's clock already
-    covers ``V`` on all components except possibly ``tid``, and every
-    future event clock dominates some live thread's clock, so only the
-    ``tid`` component can still decide the comparison.
-
-    Because ``as_clock()`` returns the exact ``V``, race reports are
-    byte-identical to a full-vector-clock detector's — unlike FastTrack's
-    write-epoch, which forgets history and only guarantees the same
-    *first* race per variable.
+    Because ``clock`` is the exact ``V``, race reports are byte-identical
+    to a full-vector-clock detector's — unlike FastTrack's write-epoch,
+    which forgets history and only guarantees the same *first* race per
+    variable.
     """
 
     tid: Tid
     stamp: int
     clock: VectorClock
-
-    def as_clock(self) -> VectorClock:
-        return self.clock
 
 
 _PointClock = Union[_PointEpoch, VectorClock]

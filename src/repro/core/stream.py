@@ -16,12 +16,6 @@ footprint — what can still race — instead of the history:
   leave the happens-before tables; the thread table tracks the live set,
   not the fork total.  Streaming race reports stay **byte-identical** to
   the batch detector's on the same trace.
-* **Epoch deflation** (every ``window`` events): points that contention
-  inflated to full vector clocks are re-certified back to O(1) epochs
-  once the live thread clocks cover them on all but one component —
-  exactly report-preserving, see
-  :meth:`~repro.core.detector.CommutativityRaceDetector.
-  deflate_point_clocks`.
 
 Races are emitted incrementally (``on_race`` fires the moment phase 1
 reports), and each maintenance window publishes memory gauges
@@ -59,9 +53,9 @@ class StreamAnalyzer:
     :class:`~repro.core.detector.CommutativityRaceDetector`: events go
     through :meth:`process` one at a time (no trace object, no length
     known up front), and every ``window`` events the analyzer retires
-    dead threads, deflates point clocks, samples the memory gauges and
-    fires ``on_window``.  Detector-level pruning/eviction rides the
-    detector's own ``prune_interval`` counter, so a streaming run with
+    dead threads, samples the memory gauges and fires ``on_window``.
+    Detector-level pruning/eviction rides the detector's own
+    ``prune_interval`` counter, so a streaming run with
     ``prune_interval=k`` reports byte-identically to a batch detector
     constructed with the same ``prune_interval=k`` — and pruning itself
     is verdict-preserving, so also to a batch run without pruning.
@@ -99,7 +93,6 @@ class StreamAnalyzer:
         self.peak_active = 0
         self.peak_interned = 0
         self.threads_retired = 0
-        self.points_deflated = 0
 
     # -- delegation --------------------------------------------------------
 
@@ -145,16 +138,12 @@ class StreamAnalyzer:
         return self.finish()
 
     def maintain(self) -> None:
-        """One maintenance cycle: retire, deflate, sample."""
+        """One maintenance cycle: retire, sample."""
         self._since_maintenance = 0
         self.windows_completed += 1
         detector = self._detector
         self.threads_retired += len(
             detector.happens_before.retire_joined_threads())
-        # Re-certify inflated points back to O(1) epochs against the live
-        # clocks: contention that has since been ordered stops taxing
-        # every later check.
-        self.points_deflated += detector.deflate_point_clocks()
         if self._predict:
             # Bounded prediction windows flush here: candidates queued
             # since the last window resolve now (closures only look

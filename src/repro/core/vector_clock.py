@@ -37,7 +37,7 @@ views stay sound.
 from __future__ import annotations
 
 from collections.abc import Mapping as _Mapping
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, Mapping, Tuple
 
 __all__ = ["Tid", "VectorClock", "MutableVectorClock", "BOTTOM"]
 
@@ -115,20 +115,6 @@ class VectorClock:
 
     def is_bottom(self) -> bool:
         return not self._entries
-
-    def uncovered_components(self, clocks) -> List[Tid]:
-        """Components of ``self`` that at least one of ``clocks`` is below.
-
-        ``[t for (t, s) in self if some clock[t] < s]`` — the components a
-        set of observer clocks does *not* dominate.  The detector's epoch
-        deflation uses it against the live thread clocks: a point clock
-        with at most one uncovered component can be represented as an
-        O(1) epoch on that component (every future stamp dominates some
-        live clock, so only the uncovered component can still decide a
-        comparison).
-        """
-        return [tid for tid, stamp in self.items()
-                if any(clock[tid] < stamp for clock in clocks)]
 
     # -- lattice operations --------------------------------------------------
 

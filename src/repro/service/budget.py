@@ -7,10 +7,10 @@ that footprint at batch boundaries:
 
 1. Under budget: nothing happens (strikes reset).
 2. Over budget: a **forced maintenance window** runs immediately —
-   joined-thread retirement, epoch deflation, then an explicit
-   Section 5.3 prune with intern eviction.  All of it is
-   report-preserving, so a squeezed tenant's final race report stays
-   byte-identical to the offline analysis of its trace.
+   joined-thread retirement, then an explicit Section 5.3 prune with
+   intern eviction.  All of it is report-preserving, so a squeezed
+   tenant's final race report stays byte-identical to the offline
+   analysis of its trace.
 3. Still over budget after ``suspend_after`` consecutive forced windows
    that failed to get back under: the tenant degrades to
    **budget-exceeded, detection suspended** — its analyzer stops

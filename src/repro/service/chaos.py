@@ -72,6 +72,10 @@ class ChaosPlan:
     min_ops: int = 30
     max_ops: int = 120
 
+    def __post_init__(self) -> None:
+        if self.tenants < 1:
+            raise ValueError(f"tenants must be >= 1, got {self.tenants}")
+
     @classmethod
     def seeded(cls, seed: int, tenants: int = 8) -> "ChaosPlan":
         return cls(seed=seed, tenants=tenants)
@@ -152,9 +156,20 @@ def _seeded_cuts(rng: Random, payload_len: int, min_cuts: int,
 def run_chaos(plan: ChaosPlan, base_dir: Optional[str] = None,
               queue_size: int = 8,
               budget_points: Optional[int] = 24) -> ChaosReport:
-    """Run one full chaos schedule; see the module docstring."""
-    base = base_dir or tempfile.mkdtemp(prefix="repro-chaos-")
-    os.makedirs(base, exist_ok=True)
+    """Run one full chaos schedule; see the module docstring.
+
+    The daemon's sockets live in ``base_dir``, or in a temporary
+    directory that is removed afterwards when none is given.
+    """
+    if base_dir is None:
+        with tempfile.TemporaryDirectory(prefix="repro-chaos-") as base:
+            return _run_chaos_in(base, plan, queue_size, budget_points)
+    os.makedirs(base_dir, exist_ok=True)
+    return _run_chaos_in(base_dir, plan, queue_size, budget_points)
+
+
+def _run_chaos_in(base: str, plan: ChaosPlan, queue_size: int,
+                  budget_points: Optional[int]) -> ChaosReport:
     rng = Random(plan.seed)
     tenants = [f"tenant-{i:02d}" for i in range(plan.tenants)]
     flood = tenants[0]

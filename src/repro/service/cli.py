@@ -88,7 +88,8 @@ def _run_chaos(args) -> int:
     from .chaos import ChaosPlan, run_chaos
     report = run_chaos(ChaosPlan.seeded(args.chaos, tenants=args.tenants),
                        queue_size=args.queue_size,
-                       budget_points=args.max_points or 24)
+                       budget_points=(24 if args.max_points is None
+                                      else args.max_points))
     print(report.summary())
     if args.stats_json:
         save_report(report.stats, args.stats_json)

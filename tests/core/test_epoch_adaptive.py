@@ -5,11 +5,10 @@ contention-adversarial corpus (``tests.support.build_contention_trace`` —
 cross-thread argument re-targeting plus tid churn, the epoch machinery's
 worst case):
 
-* **Verdict preservation** — inflation, inline re-deflation and
-  maintenance-window deflation never change a report: a streaming
-  analyzer deflating every few events, or a detector deflated between
-  arbitrary events, is byte-identical to the sequential detector, which
-  never deflates.
+* **Verdict preservation** — inflation and the return to an epoch on
+  the next ordered touch never change a report: a streaming analyzer
+  that runs a maintenance window every few events is byte-identical to
+  the sequential detector.
 * **Contention-only inflation** — a point inflates iff a second thread
   touches it *concurrently*.  The O(1) epoch certificate
   (``stamp <= C[tid]``) is checked against an independent reference that
@@ -27,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.detector import CommutativityRaceDetector
-from repro.core.events import EventKind, join_event
+from repro.core.events import EventKind
 from repro.core.hb import HappensBeforeTracker
 from repro.core.plan import _PointEpoch
 from repro.core.stream import StreamAnalyzer
@@ -51,8 +50,8 @@ def snapshots(races):
 class TestVerdictPreservation:
     @given(seeds)
     @settings(max_examples=50, deadline=None)
-    def test_adaptive_with_streaming_deflation_byte_identical(self, seed):
-        """Deflating every 3 events never perturbs a single report."""
+    def test_streaming_windows_byte_identical(self, seed):
+        """A window every 3 events never perturbs a single report."""
         trace, bindings = adversarial_case(seed)
         sequential = register_bindings(CommutativityRaceDetector(root=0),
                                        bindings)
@@ -61,45 +60,6 @@ class TestVerdictPreservation:
             StreamAnalyzer(root=0, window=3, prune_interval=2), bindings)
         analyzer.run(trace)
         assert snapshots(analyzer.races) == snapshots(sequential.races)
-
-    @given(seeds)
-    @settings(max_examples=30, deadline=None)
-    def test_explicit_deflation_between_events_byte_identical(self, seed):
-        """deflate_point_clocks() at arbitrary boundaries is invisible."""
-        trace, bindings = adversarial_case(seed)
-        sequential = register_bindings(CommutativityRaceDetector(root=0),
-                                       bindings)
-        sequential.run(trace)
-        deflated = register_bindings(CommutativityRaceDetector(root=0),
-                                     bindings)
-        for index, event in enumerate(trace):
-            deflated.process(event)
-            if index % 5 == 4:
-                deflated.deflate_point_clocks()
-        assert snapshots(deflated.races) == snapshots(sequential.races)
-
-    @given(seeds)
-    @settings(max_examples=30, deadline=None)
-    def test_deflation_restores_epochs(self, seed):
-        """After deflation only genuinely-contended points stay inflated.
-
-        Once every worker is joined, one live thread (the root) remains,
-        so every point clock is coverable by a single-component
-        certificate: a final deflation must leave no full vector clocks.
-        """
-        trace, bindings = adversarial_case(seed)
-        detector = register_bindings(
-            CommutativityRaceDetector(root=0), bindings)
-        detector.run(trace)
-        hb = detector.happens_before
-        for tid in list(hb.live_threads()):
-            if tid != 0:
-                detector.process(join_event(0, tid))
-        hb.retire_joined_threads()
-        detector.deflate_point_clocks()
-        for state in detector._objects.values():
-            for prior in state.point_clock.values():
-                assert type(prior) is _PointEpoch
 
 
 class TestContentionOnlyInflation:
@@ -134,7 +94,7 @@ class TestContentionOnlyInflation:
                 if entry is None:
                     points[pt] = [event.tid, clock, False]
                 elif entry[2]:
-                    if entry[1].leq(clock):  # inline re-deflation
+                    if entry[1].leq(clock):  # ordered touch: epoch again
                         points[pt] = [event.tid, clock, False]
                     else:
                         entry[1] = entry[1].join(clock)

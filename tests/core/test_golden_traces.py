@@ -70,9 +70,8 @@ def test_sharded_detector_matches_snapshot(name, workers):
 # The tests above pin the default engines.  These pin the variations that
 # survive inside them against the *same* disk snapshots.  The SCAN loop's
 # reports may reorder within an event, so it is compared as a multiset.
-# A "batch" is the W events between two point-clock rewrites: inflating
-# everything ("plain") or deflating at a maintenance window ("epochs")
-# must be invisible at any cadence.
+# Inflating every point clock to a bare vector clock every `cadence`
+# events must be invisible at any cadence.
 
 def register(detector, expected, strategy=None):
     registry = bundled_objects()
@@ -136,20 +135,16 @@ def test_full_clock_axis_matches_snapshot(name, compiled):
     assert_matches(detector.races, expected, strategy)
 
 
-@pytest.mark.parametrize("clocks", ["plain", "epochs"])
 @pytest.mark.parametrize("cadence", [1, 3, 64])
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
-def test_batch_axis_matches_snapshot(name, cadence, clocks):
+def test_cadence_axis_matches_snapshot(name, cadence):
     trace, expected = load_case(name)
     detector = register(CommutativityRaceDetector(root=trace.root),
                         expected)
     for index, event in enumerate(trace, 1):
         detector.process(event)
         if index % cadence == 0:
-            if clocks == "plain":
-                inflate_point_clocks(detector)
-            else:
-                detector.deflate_point_clocks()
+            inflate_point_clocks(detector)
     assert [race_snapshot(race) for race in detector.races] \
         == expected["races"]
 
@@ -177,7 +172,7 @@ def test_streaming_axis_matches_snapshot(name, prune_interval):
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_streaming_window_prune_axis_matches_snapshot(name):
-    # Epochs, pruning and a deflation window every three events.
+    # Epochs, pruning and a maintenance window every three events.
     from repro.core.stream import StreamAnalyzer
     trace, expected = load_case(name)
     analyzer = register(StreamAnalyzer(root=trace.root, window=3,

@@ -56,6 +56,8 @@ class TestRobustnessFlagValidation:
         (["--shard-timeout", "soon"], "--shard-timeout"),
         (["--shard-timeout", "inf"], "--shard-timeout"),
         (["--shard-timeout", "nan"], "--shard-timeout"),
+        (["--follow", "--follow-timeout", "nan"], "--follow-timeout"),
+        (["--follow", "--follow-timeout", "inf"], "--follow-timeout"),
     ])
     def test_bad_values_rejected(self, capsys, argv, needle):
         err = usage_error(capsys, [TRACE, *OBJECTS, *argv])

@@ -7,6 +7,8 @@ ordinary test run with a small plan, plus pins the report's evidence so
 a future refactor cannot quietly turn the harness into a no-op.
 """
 
+import tempfile
+
 from repro.service.chaos import ChaosPlan, run_chaos
 
 SEED = 7
@@ -36,9 +38,12 @@ class TestChaos:
         assert max(hwms) > 1
         assert max(hwms) <= report.queue_size
 
-    def test_reports_survive_every_tenant(self, tmp_path):
-        report = run_chaos(ChaosPlan.seeded(SEED, tenants=6),
-                           base_dir=str(tmp_path), queue_size=8)
+    def test_reports_survive_every_tenant(self, tmp_path, monkeypatch):
+        # Without a base_dir the sockets go in a temporary directory,
+        # which the run removes.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        report = run_chaos(ChaosPlan.seeded(SEED, tenants=6), queue_size=8)
         for outcome in report.outcomes:
             assert outcome.attempts[-1].status == "done", outcome.tenant
             assert outcome.observed_lines == outcome.expected_lines
+        assert not list(tmp_path.iterdir())

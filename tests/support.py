@@ -166,7 +166,7 @@ def build_multi_object_trace(program, registry=None):
 # arguments from *other* threads (non-commutative method pairs on the same
 # access point → promotions and races), and workers are continuously joined
 # and replaced by fresh tids (dead components inside carried epoch clocks →
-# deflation and pruning both get real work).
+# pruning gets real work).
 
 
 def contention_program(seed: int, kinds: Tuple[str, ...] = DEFAULT_KINDS,
@@ -201,8 +201,7 @@ def build_contention_trace(program, registry=None, repeat_bias: float = 0.75,
       worker is joined into the root and replaced by a brand-new tid that
       inherits its remaining budget.  The tid space keeps growing, old
       components go dead inside carried epoch clocks, and every
-      maintenance pass (deflation, pruning) sees the state it
-      exists for.
+      pruning pass sees the state it exists for.
     """
     object_kinds, seed, threads, ops, lock_rate, churn_rate = program
     registry = registry or bundled_objects()
